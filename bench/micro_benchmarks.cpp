@@ -34,6 +34,26 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample)->Arg(16)->Arg(1024)->Arg(1 << 16)->Arg(1 << 20);
 
+/// The bucket draw alone: the 64-bit `%` that Rng::Uniform pays (arg 0)
+/// against the fastmod AliasTable::Sample uses (arg 1). Same results. Each
+/// draw feeds the next, so this times the latency from random word to
+/// bucket — the part a trainer's dependent row loads wait on.
+void BM_AliasBucketDraw(benchmark::State& state) {
+  const bool fastmod = state.range(0) != 0;
+  uint64_t n = 101971;
+  benchmark::DoNotOptimize(n);  // a runtime divisor, as in a real table
+  const FastModMagic magic = ComputeFastModMagic(n);
+  Rng rng(3);
+  uint64_t bucket = 0;
+  for (auto _ : state) {
+    const uint64_t x = rng.Next() + bucket;
+    bucket = fastmod ? FastMod(x, magic, n) : x % n;
+    benchmark::DoNotOptimize(bucket);
+  }
+  state.SetLabel(fastmod ? "fastmod" : "modulo");
+}
+BENCHMARK(BM_AliasBucketDraw)->Arg(0)->Arg(1);
+
 void BM_AliasTableBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(1);
@@ -109,6 +129,62 @@ BENCHMARK(BM_FusedGradStepBackend)
     ->Args({64, static_cast<int>(VecBackend::kAvx2)})
     ->Args({300, static_cast<int>(VecBackend::kScalar)})
     ->Args({300, static_cast<int>(VecBackend::kAvx2)});
+
+/// One positive plus five negatives, pairwise-distinct rows of a
+/// 4096-row matrix (the common case of the SGD inner loop). Arg 2 picks the
+/// implementation: 0 = the NegativeSamplingStep kernel, 1 = the per-row
+/// Dot + SigmoidTable + FusedGradStep composition it replaced.
+void BM_NegativeSamplingStepBackend(benchmark::State& state) {
+  const auto backend = static_cast<VecBackend>(state.range(1));
+  BackendGuard guard(backend);
+  if (guard.applied() != backend) {
+    state.SkipWithError("backend unavailable");
+    return;
+  }
+  const int32_t dim = static_cast<int32_t>(state.range(0));
+  const bool per_row = state.range(2) != 0;
+  constexpr int32_t kRows = 4096;
+  constexpr std::size_t kStepRows = 6;
+  EmbeddingMatrix context(kRows, dim);
+  Rng init(1);
+  context.InitUniform(init);
+  std::vector<float> center(static_cast<std::size_t>(dim), 0.01f);
+  std::vector<float> grad(center.size());
+  const SigmoidTable sigmoid;
+  const std::size_t d = center.size();
+  float* rows[kStepRows] = {};
+  int32_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < kStepRows; ++k) {
+      rows[k] = context.row(next);
+      next = (next + 617) % kRows;  // distinct within a step
+    }
+    if (per_row) {
+      for (std::size_t k = 0; k < kStepRows; ++k) {
+        const float score = sigmoid(Dot(center.data(), rows[k], d));
+        const float g = k == 0 ? (1.0f - score) * 1e-6f : -score * 1e-6f;
+        FusedGradStep(g, center.data(), rows[k], grad.data(), d);
+      }
+    } else {
+      NegativeSamplingStep(center.data(), rows, kStepRows, true, 1e-6f,
+                           sigmoid, grad.data(), d);
+    }
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  // Bytes moved per step: 6 rows read and written, plus the center read
+  // (grad stays in L1; docs/benchmarking.md, "Per-step SGD cost").
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>((2 * kStepRows + 1) * d *
+                                               sizeof(float)));
+  state.SetLabel(std::string(VecBackendName(backend)) +
+                 (per_row ? "/per-row" : "/kernel"));
+}
+BENCHMARK(BM_NegativeSamplingStepBackend)
+    ->ArgsProduct({{32, 128},
+                   {static_cast<int>(VecBackend::kScalar),
+                    static_cast<int>(VecBackend::kAvx2)},
+                   {0, 1}});
 
 /// The fused kernel against the two-pass Axpy pair it replaced.
 void BM_TwoPassGradStep(benchmark::State& state) {

@@ -8,7 +8,8 @@
 // incremental_sampler=false) plus the incremental-sampler path at
 // 1/2/4/8 threads on the persistent pool, plus the sparse-stream
 // pure-decay column (empty Ingest() ticks, where the version-stamped
-// sampler cache short-circuits every rebuild). A "sharding" section
+// sampler cache skips the rebuild of every edge store whose decay dropped
+// no edge). A "sharding" section
 // repeats the steady-state ingest with the ownership-partitioned trainer
 // at 1/2/4 shards (one worker per shard). See EXPERIMENTS.md for the
 // machine-drift caveat and docs/sharding.md for the 1-core caveat on the
@@ -92,11 +93,12 @@ OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
 
 /// Times `ticks` empty Ingest() calls — sparse-stream mode, where a time
 /// slice passes with no observations. The full stream is ingested first so
-/// the decay ticks run against a realistic edge population. Uniform decay
-/// keeps the cached samplers exact, so each tick is decay + training only
-/// (no alias rebuild); the contrast with the incremental rows is the cost
-/// of the accumulate + refresh phases. records_per_sec stays 0 — a decay
-/// tick carries no records.
+/// the decay ticks run against a realistic edge population. Each tick is
+/// decay + training, plus a sampler rebuild for every edge store whose
+/// decay dropped an edge (uniform decay alone keeps the cached samplers
+/// exact); the contrast with the incremental rows is the cost of the
+/// accumulate phase and the rebuilds decay does not trigger.
+/// records_per_sec stays 0 — a decay tick carries no records.
 OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int threads,
                            int ticks) {
   OnlineRow row;

@@ -189,9 +189,11 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
   // newest batch always carries full weight. An empty batch is a valid
   // pure-decay tick (sparse-stream mode): a time slice passed with no
   // observations, so weights fade and training continues on the decayed
-  // distribution. Because uniform decay never bumps an edge store's
-  // version(), RefreshSamplers short-circuits and the tick skips every
-  // alias-table rebuild — the accumulate loop below is simply empty.
+  // distribution. Uniform decay alone keeps a store's version(), so
+  // RefreshSamplers reuses its samplers; but a store whose decay dropped an
+  // edge below min_weight bumps version() and is rebuilt, which at the
+  // default settings is most stores on most ticks. The accumulate loop
+  // below is simply empty.
   DecayEdges();
 
   for (const TokenizedRecord& rec : batch) {
@@ -629,7 +631,7 @@ std::shared_ptr<const ShardMapSnapshot> OnlineActor::BuildMapSnapshot()
 std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
   // Version stamping follows the OnlineEdgeStore scheme: each store's
   // version() bumps on every accumulate/drop, and the batch count covers
-  // pure-decay ticks (which by design do not bump store versions). The sum
+  // pure-decay ticks that drop no edge (and so bump no store). The sum
   // is monotone across Ingest() calls, so snapshot versions totally order
   // the published model states. (ShardedEdgeStore::version() sums its
   // replicas, which at one shard reduces to the flat scheme exactly.)

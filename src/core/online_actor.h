@@ -138,8 +138,12 @@ class OnlineActor {
   /// append-only vocabulary), updates the unit graph, and trains. An empty
   /// batch is a pure-decay tick (a time slice with no observations):
   /// existing edge weights decay, no accumulation happens, and training
-  /// runs on the cached samplers — uniform decay preserves the sampling
-  /// distribution, so no alias table is rebuilt.
+  /// runs on the decayed distribution. Uniform decay alone preserves the
+  /// sampling distribution, so an edge store's cached samplers are reused
+  /// when its decay dropped no edge; a store whose decay dropped an edge
+  /// below min_weight bumps version() and its samplers are rebuilt. At the
+  /// default decay (0.7) and min_weight (0.05) that is most stores on most
+  /// ticks (perfbench counts them as core.decay_tick_rebuilds).
   Status Ingest(const std::vector<TokenizedRecord>& batch);
 
   /// Number of Ingest() calls so far.
@@ -260,7 +264,8 @@ class OnlineActor {
   void DecayEdges();
   Status TrainBatch();
   /// Brings samplers_[e][s] up to date with edges_[e].shard(s) (no-op when
-  /// the store version matches — e.g. after pure-decay batches). Noise
+  /// the store version matches — e.g. after a pure-decay batch that dropped
+  /// no edge of this store). Noise
   /// candidates are filtered to shard-owned vertices, so negative draws
   /// always resolve to writable local rows (a no-op filter at one shard).
   Status RefreshSamplers(int e, int s);

@@ -1,6 +1,7 @@
 #ifndef ACTOR_EMBEDDING_SGD_H_
 #define ACTOR_EMBEDDING_SGD_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -47,6 +48,12 @@ inline uint64_t ShardSeed(uint64_t base, uint64_t step, uint64_t shard) {
 /// skip one draw). Called from every trainer shard: context rows are
 /// shared, so they must only be touched through the fused kernels (the
 /// analyzer derives this HOGWILD scope from the dispatch call graph).
+///
+/// The negatives are drawn into a fixed stack array first and the whole
+/// step runs as one NegativeSamplingStep kernel call (one per chunk of
+/// kMaxStepRows rows when `negatives` is larger). Draws never read rows, so
+/// the RNG stream — and, by the kernel's contract, every updated bit — is
+/// the same as drawing and updating one negative at a time.
 template <typename NegativeFn, typename ContextRowFn>
 void NegativeSamplingUpdateRows(const float* center_vec, VertexId positive,
                                 float* positive_ctx, std::size_t dim,
@@ -54,23 +61,24 @@ void NegativeSamplingUpdateRows(const float* center_vec, VertexId positive,
                                 const SigmoidTable& sigmoid, Rng& rng,
                                 NegativeFn&& sample_negative,
                                 ContextRowFn&& context_row, float* grad_out) {
-  // Positive term: label 1. FusedGradStep performs Eqs. (8)+(9) in one
-  // pass over the context row (grad_out += g*ctx; ctx += g*center).
-  {
-    const float score = sigmoid(Dot(center_vec, positive_ctx, dim));
-    const float g = (1.0f - score) * lr;  // Eq. (8)/(9) coefficient
-    ACTOR_DCHECK_FINITE(g);
-    FusedGradStep(g, center_vec, positive_ctx, grad_out, dim);
-  }
-  // Negative terms: label 0.
+  std::array<float*, kMaxStepRows> rows{};
+  rows[0] = positive_ctx;  // label 1, Eqs. (8)+(9)
+  std::size_t n = 1;
+  bool first_positive = true;
   for (int k = 0; k < negatives; ++k) {
     const VertexId neg = sample_negative(rng);
     if (neg == kInvalidVertex || neg == positive) continue;
-    float* ctx = context_row(neg);
-    const float score = sigmoid(Dot(center_vec, ctx, dim));
-    const float g = -score * lr;  // Eq. (8)/(10) coefficient
-    ACTOR_DCHECK_FINITE(g);
-    FusedGradStep(g, center_vec, ctx, grad_out, dim);  // Eq. (10)
+    rows[n++] = context_row(neg);  // label 0, Eqs. (8)+(10)
+    if (n == kMaxStepRows) {
+      NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
+                           sigmoid, grad_out, dim);
+      n = 0;
+      first_positive = false;
+    }
+  }
+  if (n > 0) {
+    NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
+                         sigmoid, grad_out, dim);
   }
 }
 

@@ -5,9 +5,7 @@
 namespace actor {
 
 Status AliasTable::BuildInto(const std::vector<double>& weights,
-                             std::vector<double>* prob,
-                             std::vector<uint32_t>* alias,
-                             std::vector<double>* norm_weights) {
+                             std::vector<uint32_t>* work) {
   if (weights.empty()) {
     return Status::InvalidArgument("alias table needs at least one weight");
   }
@@ -26,41 +24,45 @@ Status AliasTable::BuildInto(const std::vector<double>& weights,
   }
 
   const std::size_t n = weights.size();
-  std::vector<double>& norm = *norm_weights;
-  norm.resize(n);
-  for (std::size_t i = 0; i < n; ++i) norm[i] = weights[i] / total;
-
   // Scaled probabilities; "small" entries donate leftover mass from "large"
-  // ones. `prob` doubles as the scaled-weight scratch until the donation
+  // ones. `prob_` doubles as the scaled-weight scratch until the donation
   // loop rewrites it with acceptance probabilities.
-  std::vector<double>& scaled = *prob;
+  std::vector<double>& scaled = prob_;
   scaled.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = norm[i] * static_cast<double>(n);
+    scaled[i] = weights[i] / total * static_cast<double>(n);
   }
-  std::vector<uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-  }
+  // Both worklists are stacks in one array: "small" grows up from the
+  // front (stack[0, ns)), "large" down from the back (stack[nl, n)). Each
+  // index sits in at most one of them, so they never collide.
+  std::vector<uint32_t>& stack = *work;
+  stack.resize(n);
+  std::size_t ns = 0;
+  std::size_t nl = n;
+  auto push = [&](uint32_t i) {
+    if (scaled[i] < 1.0) {
+      stack[ns++] = i;
+    } else {
+      stack[--nl] = i;
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) push(static_cast<uint32_t>(i));
 
-  alias->resize(n);
-  for (std::size_t i = 0; i < n; ++i) (*alias)[i] = static_cast<uint32_t>(i);
+  alias_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) alias_[i] = static_cast<uint32_t>(i);
 
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    large.pop_back();
+  while (ns > 0 && nl < n) {
+    const uint32_t s = stack[--ns];
+    const uint32_t l = stack[nl++];
     // scaled[s] < 1 is final: it becomes s's acceptance probability.
-    (*alias)[s] = l;
+    alias_[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
+    push(l);
   }
   // Remaining entries have probability 1 (floating-point leftovers).
-  for (uint32_t s : small) scaled[s] = 1.0;
-  for (uint32_t l : large) scaled[l] = 1.0;
+  for (std::size_t k = 0; k < ns; ++k) scaled[stack[k]] = 1.0;
+  for (std::size_t k = nl; k < n; ++k) scaled[stack[k]] = 1.0;
+  magic_ = ComputeFastModMagic(n);
 
   // Invariants of a well-formed Walker table: every bucket keeps a valid
   // acceptance probability and alias index, and the reconstructed sampling
@@ -69,12 +71,13 @@ Status AliasTable::BuildInto(const std::vector<double>& weights,
   if constexpr (kDebugChecksEnabled) {
     double mass = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      ACTOR_DCHECK((*prob)[i] >= 0.0 && (*prob)[i] <= 1.0 + 1e-9)
-          << "bucket " << i << " acceptance probability " << (*prob)[i];
-      ACTOR_DCHECK((*alias)[i] < n)
-          << "bucket " << i << " alias " << (*alias)[i] << " out of range";
-      ACTOR_DCHECK_FINITE(norm[i]);
-      mass += norm[i];
+      ACTOR_DCHECK(prob_[i] >= 0.0 && prob_[i] <= 1.0 + 1e-9)
+          << "bucket " << i << " acceptance probability " << prob_[i];
+      ACTOR_DCHECK(alias_[i] < n)
+          << "bucket " << i << " alias " << alias_[i] << " out of range";
+      const double norm = weights[i] / total;
+      ACTOR_DCHECK_FINITE(norm);
+      mass += norm;
     }
     ACTOR_DCHECK(std::fabs(mass - 1.0) < 1e-6)
         << "normalized weights sum to " << mass;
@@ -84,21 +87,26 @@ Status AliasTable::BuildInto(const std::vector<double>& weights,
 }
 
 Result<AliasTable> AliasTable::Create(const std::vector<double>& weights) {
-  std::vector<double> prob;
-  std::vector<uint32_t> alias;
-  std::vector<double> norm;
-  ACTOR_RETURN_NOT_OK(BuildInto(weights, &prob, &alias, &norm));
-  return AliasTable(std::move(prob), std::move(alias), std::move(norm));
+  AliasTable table;
+  std::vector<uint32_t> work;
+  ACTOR_RETURN_NOT_OK(table.BuildInto(weights, &work));
+  return table;
 }
 
 Status AliasTable::Rebuild(const std::vector<double>& weights) {
-  return BuildInto(weights, &prob_, &alias_, &norm_weights_);
+  return BuildInto(weights, &work_);
 }
 
 double AliasTable::Probability(std::size_t i) const {
-  ACTOR_DCHECK(i < norm_weights_.size())
+  ACTOR_DCHECK(i < prob_.size())
       << "Probability() index " << i << " out of range";
-  return norm_weights_[i];
+  // Bucket i keeps prob_[i] of its 1/n share, and every bucket aliased to
+  // i hands it the rest of that bucket's share.
+  double p = prob_[i];
+  for (std::size_t j = 0; j < prob_.size(); ++j) {
+    if (alias_[j] == i) p += 1.0 - prob_[j];
+  }
+  return p / static_cast<double>(prob_.size());
 }
 
 }  // namespace actor

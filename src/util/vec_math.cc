@@ -2,12 +2,47 @@
 
 #include <cstring>
 
+#include "util/logging.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define ACTOR_VEC_X86 1
 #include <immintrin.h>
 #endif
 
 namespace actor {
+
+namespace {
+
+// Eqs. (8)-(10) coefficient of one row: (1 - score) * lr for the positive
+// row, -score * lr for a negative, the same float operations as the per-row
+// reference the parity tests compose. Only called from code built for the
+// baseline ISA: inlined into an FMA-target function, GCC's default
+// -ffp-contract=fast would fuse the SigmoidTable lerp into an FMA and
+// change the model bits.
+inline float StepCoefficient(const SigmoidTable& sigmoid, float dot,
+                             bool positive, float lr) {
+  const float score = sigmoid(dot);
+  const float g = positive ? (1.0f - score) * lr : -score * lr;
+  ACTOR_DCHECK_FINITE(g);
+  return g;
+}
+
+// The strictly in-order negative-sampling step: each row's dot product
+// sees every earlier row's update. This is the whole scalar and relaxed
+// kernel, and the AVX2 kernel's path when rows repeat or alias the center.
+template <float (*DotFn)(const float*, const float*, std::size_t),
+          void (*StepFn)(float, const float*, float*, float*, std::size_t)>
+void InOrderSteps(const float* center, float* const* rows, std::size_t n_rows,
+                  bool first_positive, float lr, const SigmoidTable& sigmoid,
+                  float* grad, std::size_t dim) {
+  for (std::size_t k = 0; k < n_rows; ++k) {
+    const float g = StepCoefficient(sigmoid, DotFn(center, rows[k], dim),
+                                    first_positive && k == 0, lr);
+    StepFn(g, center, rows[k], grad, dim);
+  }
+}
+
+}  // namespace
 
 // --------------------------------------------------------------------------
 // Scalar reference kernels. Simple loops that GCC/Clang auto-vectorize at
@@ -98,6 +133,14 @@ void FusedGradStep(float g, const float* center, float* ctx, float* grad,
     grad[i] += g * c;
     ctx[i] = c + g * center[i];
   }
+}
+
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim) {
+  InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
+                                   lr, sigmoid, grad, dim);
 }
 
 }  // namespace scalar
@@ -197,6 +240,14 @@ void FusedGradStep(float g, const float* center, float* ctx, float* grad,
   }
 }
 
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim) {
+  InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
+                                   lr, sigmoid, grad, dim);
+}
+
 }  // namespace relaxed
 
 // --------------------------------------------------------------------------
@@ -277,6 +328,44 @@ ACTOR_AVX2_TARGET float Norm2(const float* x, std::size_t n) {
   return std::sqrt(Dot(x, x, n));
 }
 
+// Two dot products sharing each load of y: out[0] = Dot(qa, y, n) and
+// out[1] = Dot(qb, y, n). Each chain and its scalar tail replicate Dot()'s
+// dual-accumulator 16-wide structure exactly, so both are bit-identical to
+// the stand-alone Dot() (which is symmetric in its arguments: the products
+// and FMAs are).
+ACTOR_AVX2_TARGET static inline void DotPair(const float* y, const float* qa,
+                                             const float* qb, std::size_t n,
+                                             float* out) {
+  __m256 a0 = _mm256_setzero_ps();
+  __m256 a1 = _mm256_setzero_ps();
+  __m256 b0 = _mm256_setzero_ps();
+  __m256 b1 = _mm256_setzero_ps();
+  std::size_t t = 0;
+  for (; t + 16 <= n; t += 16) {
+    const __m256 ylo = _mm256_loadu_ps(y + t);
+    const __m256 yhi = _mm256_loadu_ps(y + t + 8);
+    a0 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t), ylo, a0);
+    a1 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t + 8), yhi, a1);
+    b0 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t), ylo, b0);
+    b1 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t + 8), yhi, b1);
+  }
+  if (t + 8 <= n) {
+    const __m256 yv = _mm256_loadu_ps(y + t);
+    a0 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t), yv, a0);
+    b0 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t), yv, b0);
+    t += 8;
+  }
+  float acc_a = HorizontalSum(_mm256_add_ps(a0, a1));
+  float acc_b = HorizontalSum(_mm256_add_ps(b0, b1));
+  // Separate single-chain tail loops: a shared loop would let the
+  // compiler contract the two chains' mul+add differently from Dot()'s
+  // tail, breaking bit-identity.
+  for (std::size_t ta = t; ta < n; ++ta) acc_a += qa[ta] * y[ta];
+  for (std::size_t tb = t; tb < n; ++tb) acc_b += qb[tb] * y[tb];
+  out[0] = acc_a;
+  out[1] = acc_b;
+}
+
 ACTOR_AVX2_TARGET void DotAndNorm2(const float* x, const float* y,
                                    std::size_t n, float* dot,
                                    float* y_norm2) {
@@ -338,41 +427,9 @@ ACTOR_AVX2_TARGET void DotAndNorm2Batch(const float* const* queries,
     nn += yv * yv;
   }
   *y_norm2 = nn;
-  // Query pairs share each y load; each query's d0/d1 chain and scalar tail
-  // replicate Dot()'s dual-accumulator 16-wide structure exactly, so
-  // dots[j] == Dot(queries[j], y, n) bit for bit.
   std::size_t j = 0;
   for (; j + 2 <= b; j += 2) {
-    const float* qa = queries[j];
-    const float* qb = queries[j + 1];
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 b0 = _mm256_setzero_ps();
-    __m256 b1 = _mm256_setzero_ps();
-    std::size_t t = 0;
-    for (; t + 16 <= n; t += 16) {
-      const __m256 ylo = _mm256_loadu_ps(y + t);
-      const __m256 yhi = _mm256_loadu_ps(y + t + 8);
-      a0 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t), ylo, a0);
-      a1 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t + 8), yhi, a1);
-      b0 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t), ylo, b0);
-      b1 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t + 8), yhi, b1);
-    }
-    if (t + 8 <= n) {
-      const __m256 yv = _mm256_loadu_ps(y + t);
-      a0 = _mm256_fmadd_ps(_mm256_loadu_ps(qa + t), yv, a0);
-      b0 = _mm256_fmadd_ps(_mm256_loadu_ps(qb + t), yv, b0);
-      t += 8;
-    }
-    float acc_a = HorizontalSum(_mm256_add_ps(a0, a1));
-    float acc_b = HorizontalSum(_mm256_add_ps(b0, b1));
-    // Separate single-chain tail loops: a shared loop would let the
-    // compiler contract the two chains' mul+add differently from Dot()'s
-    // tail, breaking bit-identity.
-    for (std::size_t ta = t; ta < n; ++ta) acc_a += qa[ta] * y[ta];
-    for (std::size_t tb = t; tb < n; ++tb) acc_b += qb[tb] * y[tb];
-    dots[j] = acc_a;
-    dots[j + 1] = acc_b;
+    DotPair(y, queries[j], queries[j + 1], n, dots + j);
   }
   if (j < b) dots[j] = Dot(queries[j], y, n);
 }
@@ -395,6 +452,115 @@ ACTOR_AVX2_TARGET void FusedGradStep(float g, const float* center, float* ctx,
   }
 }
 
+// dots[k] = Dot(center, rows[k], n) for k < b, rows taken in pairs that
+// share each center load.
+ACTOR_AVX2_TARGET static void DotRows(const float* center,
+                                      float* const* rows, std::size_t b,
+                                      std::size_t n, float* dots) {
+  std::size_t k = 0;
+  for (; k + 2 <= b; k += 2) DotPair(center, rows[k], rows[k + 1], n, dots + k);
+  if (k < b) dots[k] = Dot(center, rows[k], n);
+}
+
+// FusedGradStep(coef[k], center, rows[k], grad, n) for k = 0..b-1, with the
+// loops interchanged: each 32-wide block (then each 8-wide slice) of center
+// and grad stays in registers across all rows, and grad is stored once per
+// block. Every element sees the same FMA sequence in the same row order, so
+// the result is bit-identical to the row-by-row calls when the rows are
+// pairwise distinct and none of them is center.
+ACTOR_AVX2_TARGET static void UpdateRows(const float* center,
+                                         float* const* rows, std::size_t b,
+                                         const float* coef, float* grad,
+                                         std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256 c0 = _mm256_loadu_ps(center + i);
+    const __m256 c1 = _mm256_loadu_ps(center + i + 8);
+    const __m256 c2 = _mm256_loadu_ps(center + i + 16);
+    const __m256 c3 = _mm256_loadu_ps(center + i + 24);
+    __m256 a0 = _mm256_loadu_ps(grad + i);
+    __m256 a1 = _mm256_loadu_ps(grad + i + 8);
+    __m256 a2 = _mm256_loadu_ps(grad + i + 16);
+    __m256 a3 = _mm256_loadu_ps(grad + i + 24);
+    for (std::size_t k = 0; k < b; ++k) {
+      const __m256 vg = _mm256_set1_ps(coef[k]);
+      float* const r = rows[k] + i;
+      const __m256 r0 = _mm256_loadu_ps(r);
+      const __m256 r1 = _mm256_loadu_ps(r + 8);
+      const __m256 r2 = _mm256_loadu_ps(r + 16);
+      const __m256 r3 = _mm256_loadu_ps(r + 24);
+      a0 = _mm256_fmadd_ps(vg, r0, a0);
+      a1 = _mm256_fmadd_ps(vg, r1, a1);
+      a2 = _mm256_fmadd_ps(vg, r2, a2);
+      a3 = _mm256_fmadd_ps(vg, r3, a3);
+      _mm256_storeu_ps(r, _mm256_fmadd_ps(vg, c0, r0));
+      _mm256_storeu_ps(r + 8, _mm256_fmadd_ps(vg, c1, r1));
+      _mm256_storeu_ps(r + 16, _mm256_fmadd_ps(vg, c2, r2));
+      _mm256_storeu_ps(r + 24, _mm256_fmadd_ps(vg, c3, r3));
+    }
+    _mm256_storeu_ps(grad + i, a0);
+    _mm256_storeu_ps(grad + i + 8, a1);
+    _mm256_storeu_ps(grad + i + 16, a2);
+    _mm256_storeu_ps(grad + i + 24, a3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 c = _mm256_loadu_ps(center + i);
+    __m256 acc = _mm256_loadu_ps(grad + i);
+    for (std::size_t k = 0; k < b; ++k) {
+      const __m256 vg = _mm256_set1_ps(coef[k]);
+      const __m256 r = _mm256_loadu_ps(rows[k] + i);
+      acc = _mm256_fmadd_ps(vg, r, acc);
+      _mm256_storeu_ps(rows[k] + i, _mm256_fmadd_ps(vg, c, r));
+    }
+    _mm256_storeu_ps(grad + i, acc);
+  }
+  for (; i < n; ++i) {
+    const float c = center[i];
+    float acc = grad[i];
+    for (std::size_t k = 0; k < b; ++k) {
+      const float r = rows[k][i];
+      acc = std::fma(coef[k], r, acc);
+      rows[k][i] = std::fma(coef[k], c, r);
+    }
+    grad[i] = acc;
+  }
+}
+
+// True when no two of center, rows[0..b) are the same row.
+static bool RowsDistinct(const float* center, float* const* rows,
+                         std::size_t b) {
+  for (std::size_t k = 0; k < b; ++k) {
+    if (rows[k] == center) return false;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (rows[j] == rows[k]) return false;
+    }
+  }
+  return true;
+}
+
+// Built for the baseline ISA on purpose (no ACTOR_AVX2_TARGET): the
+// coefficients go through StepCoefficient between the two FMA-target
+// passes. When the rows are pairwise distinct no update can feed a later
+// dot product, so every dot is computed before the first update. A
+// repeated row (or the center among the rows) takes the strictly in-order
+// path.
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim) {
+  if (!RowsDistinct(center, ctx_rows, n_rows)) {
+    InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
+                                     lr, sigmoid, grad, dim);
+    return;
+  }
+  float coef[kMaxStepRows] = {};
+  DotRows(center, ctx_rows, n_rows, dim, coef);
+  for (std::size_t k = 0; k < n_rows; ++k) {
+    coef[k] = StepCoefficient(sigmoid, coef[k], first_positive && k == 0, lr);
+  }
+  UpdateRows(center, ctx_rows, n_rows, coef, grad, dim);
+}
+
 #undef ACTOR_AVX2_TARGET
 
 }  // namespace avx2
@@ -409,21 +575,34 @@ ACTOR_AVX2_TARGET void FusedGradStep(float g, const float* center, float* ctx,
 namespace {
 
 struct KernelTable {
-  float (*dot)(const float*, const float*, std::size_t) = &scalar::Dot;
-  void (*axpy)(float, const float*, float*, std::size_t) = &scalar::Axpy;
-  void (*scale)(float, float*, std::size_t) = &scalar::Scale;
-  void (*add)(const float*, float*, std::size_t) = &scalar::Add;
-  float (*norm2)(const float*, std::size_t) = &scalar::Norm2;
-  void (*dot_norm2)(const float*, const float*, std::size_t, float*, float*) =
-      &scalar::DotAndNorm2;
+  float (*dot)(const float*, const float*, std::size_t);
+  void (*axpy)(float, const float*, float*, std::size_t);
+  void (*scale)(float, float*, std::size_t);
+  void (*add)(const float*, float*, std::size_t);
+  float (*norm2)(const float*, std::size_t);
+  void (*dot_norm2)(const float*, const float*, std::size_t, float*, float*);
   void (*dot_norm2_batch)(const float* const*, std::size_t, const float*,
-                          std::size_t, float*, float*) =
-      &scalar::DotAndNorm2Batch;
-  void (*fused)(float, const float*, float*, float*, std::size_t) =
-      &scalar::FusedGradStep;
+                          std::size_t, float*, float*);
+  void (*fused)(float, const float*, float*, float*, std::size_t);
+  void (*ns_step)(const float*, float* const*, std::size_t, bool, float,
+                  const SigmoidTable&, float*, std::size_t);
 };
 
-KernelTable g_kernels;
+// One table per backend; every kernel namespace defines the same names.
+#define ACTOR_KERNEL_TABLE(ns)                                           \
+  KernelTable {                                                          \
+    &ns::Dot, &ns::Axpy, &ns::Scale, &ns::Add, &ns::Norm2,               \
+        &ns::DotAndNorm2, &ns::DotAndNorm2Batch, &ns::FusedGradStep,     \
+        &ns::NegativeSamplingStep                                        \
+  }
+constexpr KernelTable kScalarKernels = ACTOR_KERNEL_TABLE(scalar);
+constexpr KernelTable kRelaxedKernels = ACTOR_KERNEL_TABLE(relaxed);
+#ifdef ACTOR_VEC_X86
+constexpr KernelTable kAvx2Kernels = ACTOR_KERNEL_TABLE(avx2);
+#endif
+#undef ACTOR_KERNEL_TABLE
+
+KernelTable g_kernels = kScalarKernels;
 VecBackend g_backend = VecBackend::kScalar;
 
 struct DispatchInit {
@@ -462,48 +641,23 @@ VecBackend SetVecBackend(VecBackend backend) {
   // the SIMD intrinsics (and plain scalar loops) would surface the
   // intentional HOGWILD races as reports. Requests for any backend land on
   // kRelaxed so existing benchmarks/tests keep working in TSan builds.
-  (void)backend;
-  g_kernels.dot = &relaxed::Dot;
-  g_kernels.axpy = &relaxed::Axpy;
-  g_kernels.scale = &relaxed::Scale;
-  g_kernels.add = &relaxed::Add;
-  g_kernels.norm2 = &relaxed::Norm2;
-  g_kernels.dot_norm2 = &relaxed::DotAndNorm2;
-  g_kernels.dot_norm2_batch = &relaxed::DotAndNorm2Batch;
-  g_kernels.fused = &relaxed::FusedGradStep;
-  g_backend = VecBackend::kRelaxed;
-  return g_backend;
-#else
+  backend = VecBackend::kRelaxed;
+#endif
 #ifdef ACTOR_VEC_X86
   if (backend == VecBackend::kAvx2 && Avx2Available()) {
-    g_kernels.dot = &avx2::Dot;
-    g_kernels.axpy = &avx2::Axpy;
-    g_kernels.scale = &avx2::Scale;
-    g_kernels.add = &avx2::Add;
-    g_kernels.norm2 = &avx2::Norm2;
-    g_kernels.dot_norm2 = &avx2::DotAndNorm2;
-    g_kernels.dot_norm2_batch = &avx2::DotAndNorm2Batch;
-    g_kernels.fused = &avx2::FusedGradStep;
+    g_kernels = kAvx2Kernels;
     g_backend = VecBackend::kAvx2;
     return g_backend;
   }
 #endif
   if (backend == VecBackend::kRelaxed) {
-    g_kernels.dot = &relaxed::Dot;
-    g_kernels.axpy = &relaxed::Axpy;
-    g_kernels.scale = &relaxed::Scale;
-    g_kernels.add = &relaxed::Add;
-    g_kernels.norm2 = &relaxed::Norm2;
-    g_kernels.dot_norm2 = &relaxed::DotAndNorm2;
-    g_kernels.dot_norm2_batch = &relaxed::DotAndNorm2Batch;
-    g_kernels.fused = &relaxed::FusedGradStep;
+    g_kernels = kRelaxedKernels;
     g_backend = VecBackend::kRelaxed;
     return g_backend;
   }
-  g_kernels = KernelTable();
+  g_kernels = kScalarKernels;
   g_backend = VecBackend::kScalar;
   return g_backend;
-#endif  // ACTOR_TSAN
 }
 
 float Dot(const float* x, const float* y, std::size_t n) {
@@ -554,6 +708,15 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
 void FusedGradStep(float g, const float* center, float* ctx, float* grad,
                    std::size_t n) {
   g_kernels.fused(g, center, ctx, grad, n);
+}
+
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim) {
+  ACTOR_DCHECK(n_rows <= kMaxStepRows);
+  g_kernels.ns_step(center, ctx_rows, n_rows, first_positive, lr, sigmoid,
+                    grad, dim);
 }
 
 SigmoidTable::SigmoidTable() {

@@ -104,6 +104,31 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
 void FusedGradStep(float g, const float* center, float* ctx, float* grad,
                    std::size_t n);
 
+class SigmoidTable;
+
+/// Most context rows one NegativeSamplingStep call takes. Callers with more
+/// rows per step split them into calls of at most this many, in order
+/// (NegativeSamplingUpdateRows in embedding/sgd.h).
+inline constexpr std::size_t kMaxStepRows = 16;
+
+/// One negative-sampling SGD step (Eq. (7), updates of Eqs. (8)-(10)) of a
+/// center vector against `n_rows` (at most kMaxStepRows) context rows. For
+/// each row, in order:
+///   score = sigmoid(Dot(center, row))
+///   g     = (label - score) * lr     (label 1 for the positive row, else 0)
+///   grad += g * row                  (pre-update row)
+///   row  += g * center
+/// `ctx_rows[0]` is the positive row when `first_positive`; every other
+/// row is a negative, in draw order. Each backend is bit-identical to its
+/// own Dot + SigmoidTable + FusedGradStep sequence, also when a row repeats
+/// or `center` is itself one of the rows (first-order LINE shares one
+/// matrix). Rows, `center` and `grad` (length dim) must each either
+/// coincide or not overlap at all, and `grad` must be none of them.
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim);
+
 /// Portable reference kernels; always available regardless of the active
 /// backend. The dispatched functions above are bit-compatible with these
 /// up to floating-point reassociation (Dot/Norm2) and FMA rounding
@@ -121,6 +146,10 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       float* y_norm2);
 void FusedGradStep(float g, const float* center, float* ctx, float* grad,
                    std::size_t n);
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim);
 }  // namespace scalar
 
 /// HOGWILD row accessors. The asynchronous SGD trainers update shared
@@ -161,6 +190,10 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       float* y_norm2);
 void FusedGradStep(float g, const float* center, float* ctx, float* grad,
                    std::size_t n);
+void NegativeSamplingStep(const float* center, float* const* ctx_rows,
+                          std::size_t n_rows, bool first_positive, float lr,
+                          const SigmoidTable& sigmoid, float* grad,
+                          std::size_t dim);
 }  // namespace relaxed
 
 /// Prefetches the first n floats at p into cache (write intent). Used by

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -88,6 +90,87 @@ TEST(NegativeSamplingUpdateTest, SkipsInvalidAndSelfNegatives) {
       [](Rng&) -> VertexId { return 0; }, grad);
   const float positive_gain = context.row(0)[0] - ctx_before;
   EXPECT_GT(positive_gain, 0.0f);
+}
+
+/// Reference for NegativeSamplingUpdate: draw one negative, update its row
+/// with Dot + SigmoidTable + FusedGradStep, draw the next.
+template <typename NegativeFn>
+void ReferenceUpdate(const float* center, VertexId positive, int negatives,
+                     float lr, EmbeddingMatrix* context,
+                     const SigmoidTable& sigmoid, Rng& rng,
+                     NegativeFn&& sample_negative, float* grad) {
+  const std::size_t dim = static_cast<std::size_t>(context->dim());
+  float* pos = context->row(positive);
+  const float pos_score = sigmoid(Dot(center, pos, dim));
+  FusedGradStep((1.0f - pos_score) * lr, center, pos, grad, dim);
+  for (int k = 0; k < negatives; ++k) {
+    const VertexId neg = sample_negative(rng);
+    if (neg == kInvalidVertex || neg == positive) continue;
+    float* ctx = context->row(neg);
+    const float score = sigmoid(Dot(center, ctx, dim));
+    FusedGradStep(-score * lr, center, ctx, grad, dim);
+  }
+}
+
+TEST(NegativeSamplingUpdateTest, ChunkedStepMatchesPerRowComposition) {
+  // negatives = 20 overflows one kernel call, so the chunked path runs. The
+  // small pool forces repeated negatives; `center_row` >= 0 takes the
+  // center from the context matrix itself, as first-order LINE does.
+  struct Case {
+    int32_t rows;
+    int center_row;
+  };
+  const VecBackend original = ActiveVecBackend();
+  for (VecBackend backend : {VecBackend::kScalar, VecBackend::kAvx2}) {
+    SetVecBackend(backend);
+    for (const Case c : {Case{500, -1}, Case{6, -1}, Case{40, 3}}) {
+      for (int32_t dim : {32, 7}) {
+        Rng init(17);
+        EmbeddingMatrix fused(c.rows, dim);
+        fused.InitUniform(init);
+        EmbeddingMatrix ref = fused.Clone();
+        std::vector<float> own_center(static_cast<std::size_t>(dim));
+        for (float& x : own_center) x = init.UniformFloat() - 0.5f;
+        std::vector<float> grad_fused(own_center.size(), 0.0f);
+        std::vector<float> grad_ref(own_center.size(), 0.0f);
+        const SigmoidTable sigmoid;
+        auto sample = [&c](Rng& r) -> VertexId {
+          const uint64_t u = r.Uniform(static_cast<uint64_t>(c.rows) + 1);
+          return u == 0 ? kInvalidVertex : static_cast<VertexId>(u - 1);
+        };
+        Rng rng_fused(23);
+        Rng rng_ref(23);
+        for (int step = 0; step < 50; ++step) {
+          const VertexId positive = step % c.rows;
+          const float* cf = c.center_row < 0 ? own_center.data()
+                                             : fused.row(c.center_row);
+          const float* cr =
+              c.center_row < 0 ? own_center.data() : ref.row(c.center_row);
+          NegativeSamplingUpdate(cf, positive, 20, 0.2f, &fused, sigmoid,
+                                 rng_fused, sample, grad_fused.data());
+          ReferenceUpdate(cr, positive, 20, 0.2f, &ref, sigmoid, rng_ref,
+                          sample, grad_ref.data());
+        }
+        const std::string where = std::string(VecBackendName(backend)) +
+                                  " rows=" + std::to_string(c.rows) +
+                                  " dim=" + std::to_string(dim);
+        EXPECT_EQ(rng_fused.Next(), rng_ref.Next()) << where;
+        for (int32_t r = 0; r < c.rows; ++r) {
+          for (int32_t i = 0; i < dim; ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(fused.row(r)[i]),
+                      std::bit_cast<uint32_t>(ref.row(r)[i]))
+                << where << " row=" << r << " i=" << i;
+          }
+        }
+        for (std::size_t i = 0; i < grad_ref.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(grad_fused[i]),
+                    std::bit_cast<uint32_t>(grad_ref[i]))
+              << where << " grad i=" << i;
+        }
+      }
+    }
+  }
+  SetVecBackend(original);
 }
 
 TEST(EdgeSamplingTrainerTest, PrepareValidatesShapes) {

@@ -267,6 +267,30 @@ TEST(RuleServeReadOnly, FiresOnRowInMutatedKernelArg) {
   EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 5);
 }
 
+TEST(RuleServeReadOnly, FiresOnRowInNegativeSamplingStepOutputs) {
+  // Both mutated arguments: the context rows and the gradient.
+  const auto findings =
+      Lint({{"src/eval/x.cc",
+            "void f() {\n"
+            "  float* rows[] = {ctx};\n"
+            "  NegativeSamplingStep(q, &m.row(u), 1, true, lr, sig, g, d);\n"
+            "  NegativeSamplingStep(q, rows, 1, true, lr, sig, m.row(u), d);\n"
+            "}\n"}});
+  ASSERT_EQ(CountRule(findings, kRuleServeReadOnly), 2);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_EQ(findings[1].line, 4);
+}
+
+TEST(RuleServeReadOnly, AllowsNegativeSamplingStepReadingACenterRow) {
+  // The center is a const source: passing row() there mutates nothing.
+  const auto findings =
+      Lint({{"src/serve/x.cc",
+            "void f() {\n"
+            "  NegativeSamplingStep(m.row(u), rows, n, true, lr, sig, g, d);\n"
+            "}\n"}});
+  EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 0);
+}
+
 TEST(RuleServeReadOnly, AllowsReadsAndOtherDirectories) {
   const auto findings =
       Lint({{"src/eval/x.cc",

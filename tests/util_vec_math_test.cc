@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "util/rng.h"
@@ -228,6 +229,103 @@ TEST(ScalarKernelTest, FusedGradStepMatchesTwoAxpys) {
     EXPECT_LE(UlpDiff(ctx[i], ctx2[i]), 1) << "i=" << i;
     EXPECT_LE(UlpDiff(grad[i], grad2[i]), 1) << "i=" << i;
   }
+}
+
+/// NegativeSamplingStep's contract: on every backend it is bit-identical to
+/// that backend's own Dot + SigmoidTable + FusedGradStep sequence, one row
+/// at a time.
+void ReferenceStep(const float* center, float* const* rows, std::size_t n,
+                   bool first_positive, float lr, const SigmoidTable& sigmoid,
+                   float* grad, std::size_t dim) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const float score = sigmoid(Dot(center, rows[k], dim));
+    const float g =
+        first_positive && k == 0 ? (1.0f - score) * lr : -score * lr;
+    FusedGradStep(g, center, rows[k], grad, dim);
+  }
+}
+
+struct StepCase {
+  const char* name;
+  std::vector<int> rows;  // indices into a pool of kPoolRows rows
+  int center = -1;        // pool index of the center, or -1 for its own buffer
+  bool first_positive = true;
+};
+
+/// Runs `c` through the kernel and the reference on identical copies of a
+/// random row pool and checks every row and gradient bit.
+void ExpectStepMatchesReference(VecBackend backend, std::size_t dim,
+                                const StepCase& c) {
+  constexpr std::size_t kPoolRows = 24;
+  Rng rng(1000 + dim);
+  std::vector<float> init((kPoolRows + 1) * dim);  // last row: own center
+  for (auto& x : init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+  std::vector<float> grad_init(dim);
+  for (auto& x : grad_init) x = rng.UniformFloat() - 0.5f;
+  const SigmoidTable sigmoid;
+  SetVecBackend(backend);
+  auto run = [&](bool fused, std::vector<float>* pool,
+                 std::vector<float>* grad) {
+    *pool = init;
+    *grad = grad_init;
+    std::vector<float*> rows;
+    for (int r : c.rows) rows.push_back(pool->data() + r * dim);
+    const std::size_t center_row =
+        c.center < 0 ? kPoolRows : static_cast<std::size_t>(c.center);
+    const float* center = pool->data() + center_row * dim;
+    if (fused) {
+      NegativeSamplingStep(center, rows.data(), rows.size(), c.first_positive,
+                           0.3f, sigmoid, grad->data(), dim);
+    } else {
+      ReferenceStep(center, rows.data(), rows.size(), c.first_positive, 0.3f,
+                    sigmoid, grad->data(), dim);
+    }
+  };
+  std::vector<float> pool_fused, grad_fused, pool_ref, grad_ref;
+  run(true, &pool_fused, &grad_fused);
+  run(false, &pool_ref, &grad_ref);
+  for (std::size_t i = 0; i < pool_ref.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(pool_fused[i]),
+              std::bit_cast<uint32_t>(pool_ref[i]))
+        << VecBackendName(backend) << " " << c.name << " dim=" << dim
+        << " row=" << i / dim << " i=" << i % dim;
+  }
+  for (std::size_t i = 0; i < dim; ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(grad_fused[i]),
+              std::bit_cast<uint32_t>(grad_ref[i]))
+        << VecBackendName(backend) << " " << c.name << " dim=" << dim
+        << " grad i=" << i;
+  }
+}
+
+TEST(NegativeSamplingStepTest, BitIdenticalToPerRowCompositionOnEveryBackend) {
+  std::vector<int> full(kMaxStepRows);  // the most rows one call takes
+  std::iota(full.begin(), full.end(), 0);
+  std::vector<int> full_repeat = full;
+  full_repeat.back() = full.front();
+  const StepCase cases[] = {
+      {"single row", {3}},
+      {"distinct rows", {0, 5, 9, 2, 7, 11}},
+      {"odd distinct rows", {0, 5, 9, 2, 7}},
+      {"duplicated negative", {0, 5, 9, 5, 7, 11}},
+      {"negative equal to positive", {4, 1, 4}},
+      {"center among rows", {0, 6, 2}, /*center=*/6},
+      {"negatives only", {1, 2, 3}, -1, /*first_positive=*/false},
+      {"kMaxStepRows distinct rows", full},
+      {"kMaxStepRows rows, last repeats the positive", full_repeat},
+  };
+  const VecBackend original = ActiveVecBackend();
+  std::vector<VecBackend> backends = {VecBackend::kScalar,
+                                      VecBackend::kRelaxed};
+  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
+  for (VecBackend backend : backends) {
+    for (std::size_t dim : {32u, 48u, 7u}) {
+      for (const StepCase& c : cases) {
+        ExpectStepMatchesReference(backend, dim, c);
+      }
+    }
+  }
+  SetVecBackend(original);
 }
 
 /// SIMD/scalar kernel parity across every dim in 1..257, covering all

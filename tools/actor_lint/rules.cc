@@ -369,7 +369,8 @@ void CheckHogwild(const LexedFile& f, const std::vector<Region>& regions,
             {f.path, f.LineAt(row_pos), kRuleHogwild,
              "direct element access to a shared embedding row inside a "
              "HOGWILD region — go through the vec_math kernel API "
-             "(FusedGradStep/Axpy/Add/...) or RelaxedLoad/RelaxedStore"});
+             "(NegativeSamplingStep/FusedGradStep/Axpy/Add/...) or "
+             "RelaxedLoad/RelaxedStore"});
       }
     }
   }
@@ -452,6 +453,7 @@ void CheckServeReadOnly(const LexedFile& f, std::vector<Finding>* out) {
       {"Add", {1, -1}},        {"Copy", {1, -1}},
       {"Zero", {0, -1}},       {"NormalizeInPlace", {0, -1}},
       {"FusedGradStep", {2, 3}}, {"RelaxedStore", {0, -1}},
+      {"NegativeSamplingStep", {1, 6}},
   };
   for (const MutKernel& kernel : kKernels) {
     std::size_t kpos = 0;
