@@ -4,16 +4,14 @@
 // the streaming path's perf trajectory is tracked across PRs, alongside
 // BENCH_sgd.json for the batch trainer.
 //
-// Rows: full-rebuild mode at 1 thread (the pre-port behavior, via
-// incremental_sampler=false) plus the incremental-sampler path at
-// 1/2/4/8 threads on the persistent pool, plus the sparse-stream
-// pure-decay column (empty Ingest() ticks, where the version-stamped
-// sampler cache skips the rebuild of every edge store whose decay dropped
-// no edge). A "sharding" section
-// repeats the steady-state ingest with the ownership-partitioned trainer
-// at 1/2/4 shards (one worker per shard). See EXPERIMENTS.md for the
-// machine-drift caveat and docs/sharding.md for the 1-core caveat on the
-// shard rows before comparing against committed numbers.
+// Rows (one shard, the default): full-rebuild mode (the pre-port
+// behavior, via incremental_sampler=false), the incremental-sampler path,
+// and the sparse-stream pure-decay column (empty Ingest() ticks, where the
+// version-stamped sampler cache skips the rebuild of every edge store
+// whose decay dropped no edge). A "sharding" section repeats the
+// steady-state ingest at 1/2/4 shards, one worker per shard. See
+// EXPERIMENTS.md for the machine-drift caveat and docs/sharding.md for
+// what the shard rows measure before comparing against committed numbers.
 //
 // Usage: online_throughput [--records=12000] [--batches=12] [--dim=32]
 //                          [--pure_decay_ticks=6] [--out=BENCH_online.json]
@@ -37,7 +35,6 @@ namespace {
 
 struct OnlineRow {
   std::string sampler;  // "full_rebuild", "incremental", or "pure_decay"
-  int threads = 1;
   double batches_per_sec = 0.0;
   double records_per_sec = 0.0;
 };
@@ -49,18 +46,15 @@ struct Workload {
 /// One timed run over the shared stream. Warm-up ingests bootstrap the
 /// unit catalogue and edge store so the timed section measures the
 /// steady-state decay -> refresh -> re-embed cycle, not cold growth.
-OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
-                        int threads) {
+OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental) {
   OnlineRow row;
   row.sampler = incremental ? "incremental" : "full_rebuild";
-  row.threads = threads;
 
   OnlineActorOptions options;
   options.dim = dim;
   options.decay_per_batch = 0.7;
   options.samples_per_edge_per_batch = 3.0;
   options.incremental_sampler = incremental;
-  options.num_threads = threads;
   auto model = OnlineActor::Create(options);
   if (!model.ok()) {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
@@ -99,18 +93,15 @@ OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental,
 /// exact); the contrast with the incremental rows is the cost of the
 /// accumulate phase and the rebuilds decay does not trigger.
 /// records_per_sec stays 0 — a decay tick carries no records.
-OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int threads,
-                           int ticks) {
+OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int ticks) {
   OnlineRow row;
   row.sampler = "pure_decay";
-  row.threads = threads;
 
   OnlineActorOptions options;
   options.dim = dim;
   options.decay_per_batch = 0.7;
   options.samples_per_edge_per_batch = 3.0;
   options.incremental_sampler = true;
-  options.num_threads = threads;
   auto model = OnlineActor::Create(options);
   if (!model.ok()) {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
@@ -142,13 +133,10 @@ struct ShardRow {
   double records_per_sec = 0.0;
 };
 
-/// The sharding section's ingest side: the ownership-partitioned trainer
-/// at S shards, one worker per shard on a persistent pool. On a 1-core
-/// container the parallel shard epochs serialize, so shards > 1 mostly
-/// measures partitioning + remote-tile-refresh overhead rather than
-/// speedup — docs/sharding.md spells out the caveat; compare the column
-/// across commits, not across shard counts, unless the machine has the
-/// cores.
+/// The sharding section: steady-state ingest at S shards, one worker per
+/// shard on a persistent pool. The column prices partitioning, the
+/// remote-tile refresh and the per-edge-type epoch dispatch against the
+/// parallel epochs (docs/sharding.md has the measured reading).
 ShardRow MeasureShardedIngest(const Workload& work, int32_t dim,
                               int shards) {
   ShardRow row;
@@ -240,16 +228,14 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<OnlineRow> rows;
-  rows.push_back(MeasureIngest(work, dim, /*incremental=*/false, 1));
-  for (int threads : {1, 2, 4, 8}) {
-    rows.push_back(MeasureIngest(work, dim, /*incremental=*/true, threads));
-  }
+  rows.push_back(MeasureIngest(work, dim, /*incremental=*/false));
+  rows.push_back(MeasureIngest(work, dim, /*incremental=*/true));
   if (decay_ticks > 0) {
-    rows.push_back(MeasurePureDecay(work, dim, /*threads=*/1, decay_ticks));
+    rows.push_back(MeasurePureDecay(work, dim, decay_ticks));
   }
   for (const auto& row : rows) {
-    std::printf("sampler=%-12s threads=%d  %.3f batches/s  %.1f records/s\n",
-                row.sampler.c_str(), row.threads, row.batches_per_sec,
+    std::printf("sampler=%-12s  %.3f batches/s  %.1f records/s\n",
+                row.sampler.c_str(), row.batches_per_sec,
                 row.records_per_sec);
   }
 
@@ -261,20 +247,16 @@ int Main(int argc, char** argv) {
                 row.shards, row.batches_per_sec, row.records_per_sec);
   }
 
-  auto find = [&rows](const std::string& sampler, int threads) {
+  auto find = [&rows](const std::string& sampler) {
     for (const auto& r : rows) {
-      if (r.sampler == sampler && r.threads == threads) {
-        return r.batches_per_sec;
-      }
+      if (r.sampler == sampler) return r.batches_per_sec;
     }
     return 0.0;
   };
-  const double full1 = find("full_rebuild", 1);
-  const double inc1 = find("incremental", 1);
-  const double inc8 = find("incremental", 8);
-  const double decay1 = find("pure_decay", 1);
+  const double full1 = find("full_rebuild");
+  const double inc1 = find("incremental");
+  const double decay1 = find("pure_decay");
   const double incremental_speedup = full1 > 0.0 ? inc1 / full1 : 0.0;
-  const double thread_speedup = inc1 > 0.0 ? inc8 / inc1 : 0.0;
   const double pure_decay_speedup = inc1 > 0.0 ? decay1 / inc1 : 0.0;
 
   std::ofstream out(out_path);
@@ -295,11 +277,10 @@ int Main(int argc, char** argv) {
   out << "  \"throughput\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
-                  "    {\"sampler\": \"%s\", \"threads\": %d, "
+                  "    {\"sampler\": \"%s\", "
                   "\"batches_per_sec\": %.3f, \"records_per_sec\": %.1f}%s\n",
-                  rows[i].sampler.c_str(), rows[i].threads,
-                  rows[i].batches_per_sec, rows[i].records_per_sec,
-                  i + 1 < rows.size() ? "," : "");
+                  rows[i].sampler.c_str(), rows[i].batches_per_sec,
+                  rows[i].records_per_sec, i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n";
@@ -319,9 +300,6 @@ int Main(int argc, char** argv) {
                 incremental_speedup);
   out << buf;
   std::snprintf(buf, sizeof(buf),
-                "  \"thread_speedup_8t_vs_1t\": %.3f,\n", thread_speedup);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
                 "  \"pure_decay_speedup_vs_ingest_1t\": %.3f\n",
                 pure_decay_speedup);
   out << buf;
@@ -331,9 +309,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "write to %s failed\n", out_path.c_str());
     return 1;
   }
-  std::printf(
-      "wrote %s (incremental x%.2f at 1 thread, threads x%.2f at 8 vs 1)\n",
-      out_path.c_str(), incremental_speedup, thread_speedup);
+  std::printf("wrote %s (incremental x%.2f, pure decay x%.2f)\n",
+              out_path.c_str(), incremental_speedup, pure_decay_speedup);
   return 0;
 }
 

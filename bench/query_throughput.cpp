@@ -13,19 +13,14 @@
 // A second section, "publish_cost", times the write side of the store:
 // microseconds per publish for the full-copy (delta_publish=false) path
 // vs the chunk-COW delta path at controlled dirty-row fractions.
-// A third section, "sharding", times single-thread scatter-gather
-// queries/s through ShardedQueryEngine at 1/2/4 shards against composite
-// snapshots of the same trained model (docs/sharding.md has the 1-core
-// caveat: per-shard scans run sequentially here, so the column tracks
-// scatter-gather overhead across commits, not shard speedup).
 // See EXPERIMENTS.md for the machine-drift caveat before comparing
 // against committed numbers.
 //
 // `--shard-smoke` skips the timed sections entirely and instead trains a
-// 2-shard model, publishes both the flat (gathered) and the composite
-// snapshot, and self-checks scatter-gather results against the flat
-// engine's — exiting nonzero on any mismatch. CI runs this in the default
-// build-test job as the sharded serving smoke.
+// 2-shard model, delta-publishing after every batch, and self-checks that
+// the published snapshot answers every probe query bit-identically to a
+// snapshot built from GatherCenter() — exiting nonzero on any mismatch.
+// CI runs this in the default build-test job as the sharded publish smoke.
 //
 // Usage: query_throughput [--records=12000] [--batches=12] [--dim=32]
 //                         [--k=10] [--queries=4000]
@@ -44,9 +39,9 @@
 #include "data/corpus.h"
 #include "data/synthetic.h"
 #include "embedding/dirty_rows.h"
+#include "serve/chunked_matrix.h"
 #include "serve/model_snapshot.h"
 #include "serve/query_engine.h"
-#include "shard/sharded_query_engine.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -195,27 +190,6 @@ struct PublishRow {
   double speedup = 0.0;   // full_us / delta_us
 };
 
-/// Rebuilds the actor's resolver state from the public catalogue
-/// accessors, mirroring what a full (delta_publish=false) publish copies
-/// per call: the O(units) type/name vectors plus the word-unit map. The
-/// handful of hotspot-center doubles the real path also copies is noise
-/// next to those, so omitting them only *understates* the full-copy cost.
-ModelSnapshot::OnlineCatalog MakeCatalog(const OnlineActor& model) {
-  ModelSnapshot::OnlineCatalog catalog;
-  const int32_t n = model.num_units();
-  catalog.types.reserve(static_cast<std::size_t>(n));
-  catalog.names.reserve(static_cast<std::size_t>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    catalog.types.push_back(model.unit_type(v));
-    catalog.names.push_back(model.unit_name(v));
-    if (model.unit_type(v) == VertexType::kWord) {
-      catalog.word_units.emplace(
-          static_cast<int32_t>(catalog.word_units.size()), v);
-    }
-  }
-  return catalog;
-}
-
 /// Mean microseconds per call of one publish flavor: repeats `publish`
 /// until ~50ms of wall clock has passed (one untimed warm-up first).
 template <typename Fn>
@@ -258,14 +232,16 @@ std::vector<PublishRow> MeasurePublishCost(const OnlineActor& model) {
     dirty.Resize(n);
     for (int32_t r = n - span; r < n; ++r) dirty.Mark(r);
 
+    // A full publish copies every chunk and the whole catalogue.
     row.full_us = TimePublish([&] {
-      auto snap =
-          ModelSnapshot::FromOnline(center, MakeCatalog(model), ++version);
+      auto snap = ModelSnapshot::FromOnline(ChunkedMatrix::FullCopy(center),
+                                            model.catalog(), ++version);
       (void)snap;
     });
     auto prev = base;
     row.delta_us = TimePublish([&] {
-      prev = ModelSnapshot::FromOnlineDelta(center, ++version, prev, dirty);
+      prev = prev->WithCenter(
+          ChunkedMatrix::DeltaCopy(center, prev->center(), dirty), ++version);
     });
     row.speedup = row.delta_us > 0.0 ? row.full_us / row.delta_us : 0.0;
     rows.push_back(row);
@@ -273,81 +249,12 @@ std::vector<PublishRow> MeasurePublishCost(const OnlineActor& model) {
   return rows;
 }
 
-struct ShardQueryRow {
-  int shards = 1;
-  double queries_per_sec = 0.0;
-};
-
-/// Single-thread scatter-gather queries/s against a composite snapshot:
-/// the same location / hour / vector probe mix as RunQueries, scored
-/// through ShardedQueryEngine. The per-shard scans run sequentially on
-/// this thread, so on a 1-core box the column tracks scatter-gather
-/// overhead (seed resolution, per-shard heads, merge) across commits, not
-/// shard speedup.
-ShardQueryRow MeasureShardedQueries(
-    const std::vector<std::vector<TokenizedRecord>>& head, int32_t dim,
-    int shards, const GeoPoint& probe, int64_t queries, int k) {
-  ShardQueryRow row;
-  row.shards = shards;
-
-  OnlineActorOptions options;
-  options.dim = dim;
-  options.decay_per_batch = 0.7;
-  options.samples_per_edge_per_batch = 3.0;
-  options.num_shards = shards;
-  auto model = OnlineActor::Create(options);
-  if (!model.ok()) {
-    std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
-  }
-  for (const auto& batch : head) {
-    if (auto st = model->Ingest(batch); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
-    }
-  }
-  auto snapshot = model->PublishShardedSnapshot();
-  if (snapshot == nullptr) return row;
-  ShardedQueryEngine engine(std::move(snapshot));
-  const ChunkedMatrix& shard0 = engine.snapshot().shard(0)->center();
-  if (shard0.rows() <= 0) return row;
-
-  int64_t done = 0;
-  Stopwatch timer;
-  for (int64_t i = 0; i < queries; ++i) {
-    switch (i % 3) {
-      case 0: {
-        auto r = engine.QueryByLocation(probe, VertexType::kWord, k);
-        if (!r.ok()) return row;
-        break;
-      }
-      case 1: {
-        auto r = engine.QueryByHour(static_cast<double>(i % 24),
-                                    VertexType::kLocation, k);
-        if (!r.ok()) return row;
-        break;
-      }
-      default: {
-        const int32_t q = static_cast<int32_t>((i * 7) % shard0.rows());
-        auto r = engine.QueryByVector(shard0.row(q), VertexType::kWord, k);
-        if (!r.ok()) return row;
-        break;
-      }
-    }
-    ++done;
-  }
-  const double secs = timer.ElapsedSeconds();
-  if (secs > 0.0) {
-    row.queries_per_sec = static_cast<double>(done) / secs;
-  }
-  return row;
-}
-
-/// The --shard-smoke mode: trains a small 2-shard model, publishes both
-/// serving views of the same state, and checks the scatter-gather engine
-/// against the flat engine on the gathered snapshot across the probe mix.
-/// Any mismatch (unit, similarity bits, order, or error status) is a
-/// failure. Returns the process exit code.
+/// The --shard-smoke mode: trains a small 2-shard model, delta-publishing
+/// after every batch (each dirty chunk gathered from its owning shards),
+/// and checks the published snapshot against a full snapshot of
+/// GatherCenter() across the probe mix. Any mismatch (unit, similarity
+/// bits, order, or error status) is a failure. Returns the process exit
+/// code.
 int RunShardSmoke() {
   std::printf("shard smoke: training 2-shard model...\n");
   SyntheticConfig config;
@@ -382,25 +289,27 @@ int RunShardSmoke() {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
     return 1;
   }
+  std::shared_ptr<const ModelSnapshot> published;
   for (const auto& batch : stream) {
     if (auto st = model->Ingest(batch); !st.ok()) {
       std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
       return 1;
     }
+    published = model->PublishSnapshot();
   }
-  const auto flat_snap = model->PublishSnapshot();
-  const auto sharded_snap = model->PublishShardedSnapshot();
-  if (flat_snap == nullptr || sharded_snap == nullptr) {
+  if (published == nullptr) {
     std::fprintf(stderr, "shard smoke: publish failed\n");
     return 1;
   }
-  if (flat_snap->version() != sharded_snap->version() ||
-      flat_snap->num_units() != sharded_snap->num_units()) {
-    std::fprintf(stderr, "shard smoke: snapshot version/unit mismatch\n");
+  const auto gathered = ModelSnapshot::FromOnline(
+      ChunkedMatrix::FullCopy(model->GatherCenter()), model->catalog(),
+      published->version());
+  if (gathered->num_units() != published->num_units()) {
+    std::fprintf(stderr, "shard smoke: snapshot unit count mismatch\n");
     return 1;
   }
-  QueryEngine flat(flat_snap);
-  ShardedQueryEngine scatter(sharded_snap);
+  QueryEngine want_engine(gathered);
+  QueryEngine got_engine(published);
 
   const GeoPoint probe = stream[0].front().location;
   int checked = 0;
@@ -408,10 +317,10 @@ int RunShardSmoke() {
        {VertexType::kWord, VertexType::kLocation, VertexType::kTime,
         VertexType::kUser}) {
     for (const int k : {1, 5, 50}) {
-      const auto a = flat.QueryByLocation(probe, type, k);
-      const auto b = scatter.QueryByLocation(probe, type, k);
-      const auto c = flat.QueryByHour(12.5, type, k);
-      const auto d = scatter.QueryByHour(12.5, type, k);
+      const auto a = want_engine.QueryByLocation(probe, type, k);
+      const auto b = got_engine.QueryByLocation(probe, type, k);
+      const auto c = want_engine.QueryByHour(12.5, type, k);
+      const auto d = got_engine.QueryByHour(12.5, type, k);
       const Result<std::vector<Neighbor>>* pairs[][2] = {{&a, &b},
                                                          {&c, &d}};
       for (const auto& pair : pairs) {
@@ -531,19 +440,6 @@ int Main(int argc, char** argv) {
     if (row.dirty_pct == 10) speedup_10pct = row.speedup;
   }
 
-  // Sharded scatter-gather rows: each shard count trains its own small
-  // model over the same stream head, so the column is self-contained.
-  std::vector<std::vector<TokenizedRecord>> head_batches(
-      stream.begin(), stream.begin() + head);
-  std::vector<ShardQueryRow> shard_rows;
-  for (int shards : {1, 2, 4}) {
-    shard_rows.push_back(MeasureShardedQueries(head_batches, dim, shards,
-                                               probe, queries / 4, k));
-    const ShardQueryRow& row = shard_rows.back();
-    std::printf("sharded queries shards=%d  %.1f queries/s\n", row.shards,
-                row.queries_per_sec);
-  }
-
   auto find = [&rows](const std::string& mode, int threads) {
     for (const auto& r : rows) {
       if (r.mode == mode && r.threads == threads) return r.queries_per_sec;
@@ -593,15 +489,6 @@ int Main(int argc, char** argv) {
                   publish[i].dirty_pct, publish[i].full_us,
                   publish[i].delta_us, publish[i].speedup,
                   i + 1 < publish.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
-  out << "  \"sharding\": [\n";
-  for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"shards\": %d, \"queries_per_sec\": %.1f}%s\n",
-                  shard_rows[i].shards, shard_rows[i].queries_per_sec,
-                  i + 1 < shard_rows.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n";

@@ -112,10 +112,16 @@ int Query(const actor::Flags& flags) {
   if (type_str == "L") type = actor::VertexType::kLocation;
   if (type_str == "U") type = actor::VertexType::kUser;
   const int k = static_cast<int>(flags.GetInt("k", 10));
+  auto nearest = model->NearestOfType(v, type, k);
+  if (!nearest.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 nearest.status().ToString().c_str());
+    return 1;
+  }
   std::printf("nearest %s-units to '%s' [%s]:\n", type_str.c_str(),
               unit.c_str(), actor::VertexTypeName(model->vertex_type(v)));
-  for (const auto& [n, sim] : model->NearestOfType(v, type, k)) {
-    std::printf("  %-30s %.3f\n", model->vertex_name(n).c_str(), sim);
+  for (const auto& n : *nearest) {
+    std::printf("  %-30s %.3f\n", n.name.c_str(), n.similarity);
   }
   return 0;
 }

@@ -1,11 +1,9 @@
 #include "core/model_io.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "util/string_util.h"
-#include "util/vec_math.h"
 
 namespace actor {
 namespace {
@@ -44,20 +42,23 @@ Status SaveActorModel(const ActorModel& model, const BuiltGraphs& graphs,
 
 Result<LoadedModel> LoadedModel::Load(const std::string& dir) {
   LoadedModel model;
-  ACTOR_ASSIGN_OR_RETURN(model.center_,
-                         EmbeddingMatrix::Load(dir + "/center.txt"));
+  EmbeddingMatrix center;
+  ACTOR_ASSIGN_OR_RETURN(center, EmbeddingMatrix::Load(dir + "/center.txt"));
   ACTOR_ASSIGN_OR_RETURN(model.context_,
                          EmbeddingMatrix::Load(dir + "/context.txt"));
-  if (model.center_.rows() != model.context_.rows() ||
-      model.center_.dim() != model.context_.dim()) {
+  if (center.rows() != model.context_.rows() ||
+      center.dim() != model.context_.dim()) {
     return Status::InvalidArgument(
         "center/context shapes disagree in " + dir);
   }
 
   std::ifstream in(dir + "/vertices.tsv");
   if (!in) return Status::IOError("cannot read vertices.tsv in " + dir);
-  model.types_.resize(model.center_.rows());
-  model.names_.resize(model.center_.rows());
+  const std::size_t n = static_cast<std::size_t>(center.rows());
+  OnlineCatalog catalog;
+  catalog.types.resize(n);
+  catalog.names.resize(n);
+  std::vector<bool> seen(n, false);
   std::string line;
   std::size_t rows = 0;
   while (std::getline(in, line)) {
@@ -68,19 +69,27 @@ Result<LoadedModel> LoadedModel::Load(const std::string& dir) {
     }
     const VertexId v = static_cast<VertexId>(std::strtol(
         fields[0].c_str(), nullptr, 10));
-    if (v < 0 || v >= model.center_.rows()) {
+    if (v < 0 || v >= center.rows()) {
       return Status::OutOfRange("vertex id out of range in vertices.tsv");
     }
-    ACTOR_ASSIGN_OR_RETURN(model.types_[v], ParseVertexType(fields[1]));
-    model.names_[v] = fields[2];
+    const auto slot = static_cast<std::size_t>(v);
+    if (seen[slot]) {
+      return Status::InvalidArgument(
+          StrPrintf("vertices.tsv repeats vertex id %d", v));
+    }
+    seen[slot] = true;
+    ACTOR_ASSIGN_OR_RETURN(catalog.types[slot], ParseVertexType(fields[1]));
+    catalog.names[slot] = fields[2];
     model.index_[fields[2]] = v;
     ++rows;
   }
-  if (rows != static_cast<std::size_t>(model.center_.rows())) {
+  if (rows != n) {
     return Status::InvalidArgument(StrPrintf(
         "vertices.tsv has %zu rows but the matrix has %d", rows,
-        model.center_.rows()));
+        center.rows()));
   }
+  model.snapshot_ = ModelSnapshot::FromOnline(
+      ChunkedMatrix::FullCopy(center), std::move(catalog), /*version=*/0);
   return model;
 }
 
@@ -89,21 +98,15 @@ VertexId LoadedModel::Lookup(const std::string& name) const {
   return it == index_.end() ? kInvalidVertex : it->second;
 }
 
-std::vector<std::pair<VertexId, double>> LoadedModel::NearestOfType(
-    VertexId query, VertexType type, int k) const {
-  std::vector<std::pair<VertexId, double>> results;
-  const std::size_t dim = static_cast<std::size_t>(center_.dim());
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    if (v == query || types_[v] != type) continue;
-    results.emplace_back(v, Cosine(center_.row(query), center_.row(v), dim));
+Result<std::vector<Neighbor>> LoadedModel::NearestOfType(VertexId query,
+                                                         VertexType type,
+                                                         int k) const {
+  if (query < 0 || query >= num_vertices()) {
+    return Status::OutOfRange(
+        StrPrintf("vertex %d is not in the model", query));
   }
-  const std::size_t keep =
-      std::min<std::size_t>(std::max(k, 0), results.size());
-  std::partial_sort(
-      results.begin(), results.begin() + keep, results.end(),
-      [](const auto& a, const auto& b) { return a.second > b.second; });
-  results.resize(keep);
-  return results;
+  return QueryEngine(snapshot_).QueryByVector(
+      snapshot_->center().row(query), type, k, /*exclude=*/query);
 }
 
 }  // namespace actor

@@ -1,6 +1,7 @@
 #ifndef ACTOR_EMBEDDING_DIRTY_ROWS_H_
 #define ACTOR_EMBEDDING_DIRTY_ROWS_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,11 +17,10 @@ namespace actor {
 ///
 /// Concurrency contract — the same HOGWILD shard discipline actor-lint R4
 /// polices for embedding rows: a DirtyRowSet is *not* thread-safe. Inside a
-/// sharded training region each shard marks its own shard-local set (or the
-/// single merged set on the sequential path), and the merged set is folded
-/// together with MergeFrom() at the batch barrier, after
-/// ShardedRange()/Wait() returned. Never mark a shared set from inside a
-/// hogwild region.
+/// training region each worker marks its own set (or the single merged set
+/// on the sequential path); per-worker sets are folded together at the
+/// batch barrier (MergeFrom() after ShardedRange()/Wait() returned) or at
+/// publish. Never mark a shared set from inside a hogwild region.
 class DirtyRowSet {
  public:
   DirtyRowSet() = default;
@@ -85,6 +85,17 @@ class DirtyRowSet {
       if (word != 0) return true;
     }
     return false;
+  }
+
+  /// Calls fn(row) for every dirty row, in increasing row order.
+  template <typename Fn>
+  void ForEachMarked(Fn&& fn) const {
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+      for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+        fn(static_cast<int32_t>(w * 64 + bit));
+      }
+    }
   }
 
   int32_t PopCount() const {

@@ -82,8 +82,8 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
                grad.data());
   } else {
     if (merged != nullptr) {
-      shard_dirty_.resize(pool_->num_threads());
-      for (auto& s : shard_dirty_) {
+      worker_dirty_.resize(pool_->num_threads());
+      for (auto& s : worker_dirty_) {
         s.Resize(center_->rows());
         s.Clear();
       }
@@ -100,13 +100,13 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
                      ShardSeed(options_.seed, step, shard),
                      merged == nullptr
                          ? nullptr
-                         : &shard_dirty_[static_cast<std::size_t>(shard)],
+                         : &worker_dirty_[static_cast<std::size_t>(shard)],
                      grad_base + static_cast<std::size_t>(shard) * dim);
         });
     if (merged != nullptr) {
       // Batch barrier: ShardedRange has returned, so the shard-local sets
       // are safely published to this thread.
-      for (const auto& s : shard_dirty_) merged->MergeFrom(s);
+      for (const auto& s : worker_dirty_) merged->MergeFrom(s);
     }
   }
   steps_done_ += num_samples;

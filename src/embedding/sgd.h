@@ -185,7 +185,7 @@ class EdgeSamplingTrainer {
   std::unique_ptr<ThreadPool> owned_pool_;  // backs pool_ when not borrowed
   /// Per-shard dirty scratch, merged into options_.dirty_rows at the
   /// TrainEdgeType barrier (allocation-free at steady state).
-  std::vector<DirtyRowSet> shard_dirty_;
+  std::vector<DirtyRowSet> worker_dirty_;
 };
 
 }  // namespace actor

@@ -5,17 +5,23 @@
 
 namespace actor {
 
-int32_t TemporalHotspots::AssignHour(double hour) const {
+int32_t NearestHour(const std::vector<double>& hours, double hour,
+                    double* distance) {
   int32_t best = -1;
   double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < hours_.size(); ++i) {
-    const double d = CircularHourDistance(hour, hours_[i]);
+  for (std::size_t i = 0; i < hours.size(); ++i) {
+    const double d = CircularHourDistance(hour, hours[i]);
     if (d < best_dist) {
       best_dist = d;
       best = static_cast<int32_t>(i);
     }
   }
+  if (distance != nullptr) *distance = best_dist;
   return best;
+}
+
+int32_t TemporalHotspots::AssignHour(double hour) const {
+  return NearestHour(hours_, hour);
 }
 
 int32_t TemporalHotspots::Assign(double timestamp) const {

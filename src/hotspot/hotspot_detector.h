@@ -32,6 +32,14 @@ class SpatialHotspots {
   Grid2dIndex index_;
 };
 
+/// Index of the hour in `hours` circularly nearest to `hour` (ties keep the
+/// lower index); -1 when `hours` is empty. `distance`, when non-null,
+/// receives that circular distance in hours (+inf when empty). Batch
+/// hotspots and the streaming unit catalogue both resolve through this one
+/// scan.
+int32_t NearestHour(const std::vector<double>& hours, double hour,
+                    double* distance = nullptr);
+
 /// Detected temporal hotspots: local maxima of the hour-of-day KDE on the
 /// 24-hour circle.
 class TemporalHotspots {

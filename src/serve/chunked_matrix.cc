@@ -1,6 +1,7 @@
 #include "serve/chunked_matrix.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,65 +21,69 @@ ChunkedMatrix::ChunkPtr ChunkedMatrix::NewChunk(std::size_t stride) {
   return ChunkPtr(p, [](const float* q) { std::free(const_cast<float*>(q)); });
 }
 
-ChunkedMatrix ChunkedMatrix::FullCopy(const EmbeddingMatrix& src) {
+ChunkedMatrix ChunkedMatrix::Copy(int32_t rows, int32_t dim,
+                                  std::size_t stride, const RowSource& row,
+                                  const ChunkedMatrix* prev,
+                                  const DirtyRowSet* dirty) {
+  if (prev != nullptr && (prev->dim_ != dim || prev->stride_ != stride ||
+                          prev->rows_ > rows)) {
+    prev = nullptr;  // incompatible layout — nothing to share
+  }
   ChunkedMatrix out;
-  out.rows_ = src.rows();
-  out.dim_ = src.dim();
-  out.stride_ = src.stride();
+  out.rows_ = rows;
+  out.dim_ = dim;
+  out.stride_ = stride;
   if (out.empty()) return out;
   const std::size_t num_chunks =
-      (static_cast<std::size_t>(out.rows_) + kChunkRows - 1) / kChunkRows;
+      (static_cast<std::size_t>(rows) + kChunkRows - 1) / kChunkRows;
+  const std::size_t row_bytes = stride * sizeof(float);
   out.chunks_.reserve(num_chunks);
   for (std::size_t c = 0; c < num_chunks; ++c) {
     const int32_t begin = static_cast<int32_t>(c) * kChunkRows;
-    const int32_t end = std::min(begin + kChunkRows, out.rows_);
-    ChunkPtr chunk = NewChunk(out.stride_);
-    // Rows are contiguous at stride granularity inside the flat matrix, so
-    // one memcpy moves the whole chunk, padding floats included.
-    std::memcpy(const_cast<float*>(chunk.get()), src.row(begin),
-                static_cast<std::size_t>(end - begin) * out.stride_ *
-                    sizeof(float));
+    const int32_t end = std::min(begin + kChunkRows, rows);
+    // Share iff the previous snapshot fully covers this chunk's row range
+    // and no row in it changed. Rows appended after `prev` are expected to
+    // be marked dirty by the trainer, but the coverage check keeps the
+    // copy correct even if a caller forgets.
+    if (prev != nullptr && dirty != nullptr && end <= prev->rows_ &&
+        dirty->rows() >= end && !dirty->AnyInRange(begin, end)) {
+      out.chunks_.push_back(prev->chunks_[c]);
+      continue;
+    }
+    ChunkPtr chunk = NewChunk(stride);
+    auto* dst =
+        reinterpret_cast<unsigned char*>(const_cast<float*>(chunk.get()));
+    // Runs of rows that are contiguous in the source (padding floats
+    // included) move with one memcpy.
+    int32_t run_begin = begin;
+    const float* run_src = row(begin);
+    for (int32_t r = begin + 1; r <= end; ++r) {
+      const float* src = r < end ? row(r) : nullptr;
+      if (reinterpret_cast<std::uintptr_t>(src) ==
+          reinterpret_cast<std::uintptr_t>(run_src) +
+              static_cast<std::size_t>(r - run_begin) * row_bytes) {
+        continue;
+      }
+      std::memcpy(dst + static_cast<std::size_t>(run_begin - begin) * row_bytes,
+                  run_src, static_cast<std::size_t>(r - run_begin) * row_bytes);
+      run_begin = r;
+      run_src = src;
+    }
     out.chunks_.push_back(std::move(chunk));
   }
   return out;
 }
 
+ChunkedMatrix ChunkedMatrix::FullCopy(const EmbeddingMatrix& src) {
+  return Copy(src.rows(), src.dim(), src.stride(),
+              [&src](int32_t i) { return src.row(i); });
+}
+
 ChunkedMatrix ChunkedMatrix::DeltaCopy(const EmbeddingMatrix& src,
                                        const ChunkedMatrix& prev,
                                        const DirtyRowSet& dirty) {
-  if (prev.dim_ != src.dim() || prev.stride_ != src.stride() ||
-      prev.rows_ > src.rows()) {
-    return FullCopy(src);  // incompatible layout — nothing to share
-  }
-  ChunkedMatrix out;
-  out.rows_ = src.rows();
-  out.dim_ = src.dim();
-  out.stride_ = src.stride();
-  if (out.empty()) return out;
-  const std::size_t num_chunks =
-      (static_cast<std::size_t>(out.rows_) + kChunkRows - 1) / kChunkRows;
-  out.chunks_.reserve(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const int32_t begin = static_cast<int32_t>(c) * kChunkRows;
-    const int32_t end = std::min(begin + kChunkRows, out.rows_);
-    // Share iff the previous snapshot fully covers this chunk's row range
-    // and no row in it changed. Rows appended after `prev` are expected to
-    // be marked dirty by the trainer, but the coverage check keeps the
-    // copy correct even if a caller forgets.
-    const bool covered = end <= prev.rows_;
-    const bool clean =
-        covered && dirty.rows() >= end && !dirty.AnyInRange(begin, end);
-    if (clean) {
-      out.chunks_.push_back(prev.chunks_[c]);
-      continue;
-    }
-    ChunkPtr chunk = NewChunk(out.stride_);
-    std::memcpy(const_cast<float*>(chunk.get()), src.row(begin),
-                static_cast<std::size_t>(end - begin) * out.stride_ *
-                    sizeof(float));
-    out.chunks_.push_back(std::move(chunk));
-  }
-  return out;
+  return Copy(src.rows(), src.dim(), src.stride(),
+              [&src](int32_t i) { return src.row(i); }, &prev, &dirty);
 }
 
 std::size_t ChunkedMatrix::SharedChunksWith(const ChunkedMatrix& other) const {

@@ -2,6 +2,7 @@
 #define ACTOR_SERVE_CHUNKED_MATRIX_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,9 +20,10 @@ namespace actor {
 /// 32-byte alignment contract as EmbeddingMatrix (padding floats zero, so
 /// the SIMD kernels see the exact layout the flat matrix would give them).
 ///
-/// FullCopy() materializes every chunk — the flat-deep-copy publish path,
-/// kept alive by the delta_publish=false A/B lever. DeltaCopy() clones only
-/// chunks containing a dirty row and shares the rest with the previous
+/// Copy() is the one routine that builds it, for every publish path. With
+/// no previous snapshot it materializes every chunk (the full-copy publish,
+/// kept alive by the delta_publish=false A/B lever). With one, it copies
+/// only chunks containing a dirty row and shares the rest with the previous
 /// snapshot's ChunkedMatrix, so publish cost is proportional to the rows
 /// the last batch touched, not the model. Shared chunks are safe because
 /// snapshots never mutate them: a later publish replaces chunk *pointers*,
@@ -35,18 +37,29 @@ class ChunkedMatrix {
   /// that the chunk pointer array stays negligible next to the floats.
   static constexpr int32_t kChunkRows = 64;
 
+  /// Address of source row i: `stride` floats (dim values, then zero
+  /// padding), in the row order of the matrix being built.
+  using RowSource = std::function<const float*(int32_t)>;
+
   ChunkedMatrix() = default;
 
-  /// Copies every row of `src` (the old copy-on-publish behavior,
-  /// bit-identical contents — locked in by serve_delta_publish_test).
-  static ChunkedMatrix FullCopy(const EmbeddingMatrix& src);
+  /// Builds a `rows` x `dim` matrix whose row i is copied from `row(i)`.
+  /// When `prev` and `dirty` are both given, every chunk that `prev` fully
+  /// covers and that has no row marked in `dirty` is shared with `prev`
+  /// instead of copied. `dirty` must cover every row that changed since
+  /// `prev` was built from the same logical matrix; it may cover more
+  /// (extra copies, never wrong contents). Falls back to a full copy when
+  /// `prev` has a different dim/stride or more rows. Consecutive rows whose
+  /// sources are contiguous are moved with one memcpy, so a flat source
+  /// copies a whole chunk at once and a sharded one row runs per owner.
+  static ChunkedMatrix Copy(int32_t rows, int32_t dim, std::size_t stride,
+                            const RowSource& row,
+                            const ChunkedMatrix* prev = nullptr,
+                            const DirtyRowSet* dirty = nullptr);
 
-  /// Copies only chunks with a row marked in `dirty` (plus rows beyond
-  /// prev's end, which have no previous chunk to share) and shares every
-  /// clean chunk with `prev`. `dirty` must cover every row of `src` that
-  /// changed since `prev` was built from the same logical matrix; it may
-  /// cover more (extra copies, never wrong contents). Falls back to a full
-  /// copy when `prev` has a different dim/stride or more rows than `src`.
+  /// Copy() of every row of a flat matrix.
+  static ChunkedMatrix FullCopy(const EmbeddingMatrix& src);
+  /// Copy() of a flat matrix against `prev`, sharing clean chunks.
   static ChunkedMatrix DeltaCopy(const EmbeddingMatrix& src,
                                  const ChunkedMatrix& prev,
                                  const DirtyRowSet& dirty);

@@ -1,9 +1,33 @@
 #include "serve/model_snapshot.h"
 
-#include <limits>
 #include <utility>
 
 namespace actor {
+
+OnlineCatalog::Nearest OnlineCatalog::NearestSpatial(
+    const GeoPoint& location) const {
+  Nearest best;
+  for (std::size_t i = 0; i < spatial_centers.size(); ++i) {
+    const double d = Distance(location, spatial_centers[i]);
+    if (d < best.distance) {
+      best.distance = d;
+      best.unit = spatial_units[i];
+    }
+  }
+  return best;
+}
+
+OnlineCatalog::Nearest OnlineCatalog::NearestTemporal(double hour) const {
+  Nearest best;
+  const int32_t i = NearestHour(temporal_hours, hour, &best.distance);
+  if (i >= 0) best.unit = temporal_units[static_cast<std::size_t>(i)];
+  return best;
+}
+
+VertexId OnlineCatalog::WordUnit(int32_t word_id) const {
+  const auto it = word_units.find(word_id);
+  return it == word_units.end() ? kInvalidVertex : it->second;
+}
 
 std::shared_ptr<const ModelSnapshot::CatalogState>
 ModelSnapshot::MakeCatalogState(OnlineCatalog catalog) {
@@ -40,40 +64,24 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromBatch(
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromOnline(
-    const EmbeddingMatrix& center, OnlineCatalog catalog, uint64_t version) {
+    ChunkedMatrix center, OnlineCatalog catalog, uint64_t version) {
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->version_ = version;
-  snap->center_ = ChunkedMatrix::FullCopy(center);
+  snap->center_ = std::move(center);
   snap->online_ = MakeCatalogState(std::move(catalog));
   return snap;
 }
 
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromOnlineDelta(
-    const EmbeddingMatrix& center, uint64_t version,
-    const std::shared_ptr<const ModelSnapshot>& prev,
-    const DirtyRowSet& dirty) {
-  ACTOR_DCHECK(prev != nullptr && prev->graphs_ == nullptr)
-      << "delta publish needs a previous online snapshot";
-  ACTOR_DCHECK(prev->num_units() == center.rows())
-      << "catalogue sharing requires an unchanged unit set ("
-      << prev->num_units() << " vs " << center.rows() << " rows)";
+std::shared_ptr<const ModelSnapshot> ModelSnapshot::WithCenter(
+    ChunkedMatrix center, uint64_t version) const {
+  ACTOR_DCHECK(online_ != nullptr) << "WithCenter needs an online snapshot";
+  ACTOR_DCHECK(num_units() == center.rows())
+      << "catalogue sharing requires an unchanged unit set (" << num_units()
+      << " vs " << center.rows() << " rows)";
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->version_ = version;
-  snap->center_ = ChunkedMatrix::DeltaCopy(center, prev->center_, dirty);
-  snap->online_ = prev->online_;  // unit set unchanged — share outright
-  return snap;
-}
-
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromOnlineDelta(
-    const EmbeddingMatrix& center, uint64_t version,
-    const std::shared_ptr<const ModelSnapshot>& prev,
-    const DirtyRowSet& dirty, OnlineCatalog catalog) {
-  ACTOR_DCHECK(prev != nullptr && prev->graphs_ == nullptr)
-      << "delta publish needs a previous online snapshot";
-  auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
-  snap->version_ = version;
-  snap->center_ = ChunkedMatrix::DeltaCopy(center, prev->center_, dirty);
-  snap->online_ = MakeCatalogState(std::move(catalog));
+  snap->center_ = std::move(center);
+  snap->online_ = online_;  // unit set unchanged — share outright
   return snap;
 }
 
@@ -98,19 +106,7 @@ VertexId ModelSnapshot::SpatialVertex(const GeoPoint& location) const {
     const int32_t h = hotspots_->spatial.Assign(location);
     return h < 0 ? kInvalidVertex : graphs_->spatial_vertices[h];
   }
-  // Same nearest-center scan as OnlineActor::SpatialUnit, so a snapshot
-  // resolves exactly like the live actor it was published from.
-  const OnlineCatalog& catalog = online_->catalog;
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < catalog.spatial_centers.size(); ++i) {
-    const double d = Distance(location, catalog.spatial_centers[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : catalog.spatial_units[best];
+  return online_->catalog.NearestSpatial(location).unit;
 }
 
 VertexId ModelSnapshot::TemporalVertexAt(double timestamp) const {
@@ -126,17 +122,7 @@ VertexId ModelSnapshot::TemporalVertexAtHour(double hour) const {
     const int32_t h = hotspots_->temporal.AssignHour(hour);
     return h < 0 ? kInvalidVertex : graphs_->temporal_vertices[h];
   }
-  const OnlineCatalog& catalog = online_->catalog;
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < catalog.temporal_hours.size(); ++i) {
-    const double d = CircularHourDistance(hour, catalog.temporal_hours[i]);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best < 0 ? kInvalidVertex : catalog.temporal_units[best];
+  return online_->catalog.NearestTemporal(hour).unit;
 }
 
 VertexId ModelSnapshot::WordVertex(int32_t word_id) const {
@@ -147,9 +133,7 @@ VertexId ModelSnapshot::WordVertex(int32_t word_id) const {
     }
     return graphs_->word_vertices[static_cast<std::size_t>(word_id)];
   }
-  const auto& word_units = online_->catalog.word_units;
-  const auto it = word_units.find(word_id);
-  return it == word_units.end() ? kInvalidVertex : it->second;
+  return online_->catalog.WordUnit(word_id);
 }
 
 int32_t ModelSnapshot::LookupWord(const std::string& keyword) const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,37 @@
 #include "serve/chunked_matrix.h"
 
 namespace actor {
+
+/// The unit catalogue of a streaming model: every unit's type and name,
+/// plus the resolvers that map modality values to units. OnlineActor owns
+/// the live catalogue and grows it as units appear; every snapshot adopts
+/// a copy, so a snapshot resolves exactly like the actor it was published
+/// from — both call the same methods below.
+struct OnlineCatalog {
+  /// A resolved hotspot unit and its distance from the query (km, or
+  /// circular hours). `unit` is kInvalidVertex and `distance` +inf when the
+  /// catalogue holds no hotspot of that family.
+  struct Nearest {
+    VertexId unit = kInvalidVertex;
+    double distance = std::numeric_limits<double>::infinity();
+  };
+
+  /// The spatial hotspot nearest to `location` (ties keep the older one).
+  Nearest NearestSpatial(const GeoPoint& location) const;
+  /// The temporal hotspot circularly nearest to an hour-of-day.
+  Nearest NearestTemporal(double hour) const;
+  /// Unit of a vocabulary word id; kInvalidVertex when never seen.
+  VertexId WordUnit(int32_t word_id) const;
+
+  std::vector<VertexType> types;  // unit id -> type
+  std::vector<std::string> names;  // unit id -> name
+  // Hotspot centers, index-aligned with their unit ids.
+  std::vector<GeoPoint> spatial_centers;
+  std::vector<VertexId> spatial_units;
+  std::vector<double> temporal_hours;
+  std::vector<VertexId> temporal_units;
+  std::unordered_map<int32_t, VertexId> word_units;
+};
 
 /// An immutable, versioned bundle of everything the read path needs to
 /// answer cross-modal queries: center (and optionally context) embeddings
@@ -45,27 +77,15 @@ namespace actor {
 ///   - FromBatch: wraps a finished TrainActor model together with the
 ///     batch pipeline's BuiltGraphs / Hotspots / Vocabulary (shared,
 ///     immutable after construction by contract).
-///   - FromOnline / FromOnlineDelta: wraps OnlineActor's live unit
+///   - FromOnline / WithCenter: wraps a copy of OnlineActor's unit
 ///     catalogue — built by OnlineActor::PublishSnapshot.
 ///
 /// All resolution methods are const, thread-safe, and bit-identical to the
 /// pre-snapshot code paths they replaced (the batch path delegates to the
-/// same Hotspots::Assign / lookup tables; the online path mirrors
-/// OnlineActor::SpatialUnit/TemporalUnit/WordUnit).
+/// same Hotspots::Assign / lookup tables; the online path calls the same
+/// OnlineCatalog methods as OnlineActor::SpatialUnit/TemporalUnit/WordUnit).
 class ModelSnapshot {
  public:
-  /// Copied unit catalogue of a streaming model (OnlineActor's resolver
-  /// state at publish time).
-  struct OnlineCatalog {
-    std::vector<VertexType> types;
-    std::vector<std::string> names;
-    std::vector<GeoPoint> spatial_centers;
-    std::vector<VertexId> spatial_units;
-    std::vector<double> temporal_hours;
-    std::vector<VertexId> temporal_units;
-    std::unordered_map<int32_t, VertexId> word_units;
-  };
-
   /// Publishes a batch-trained model. `center` is copied into chunked
   /// storage; `context` likewise when non-null (most consumers only need
   /// center). `graphs` and `hotspots` are required; `vocab` may be null,
@@ -85,28 +105,17 @@ class ModelSnapshot {
       const ModelSnapshot* prev = nullptr,
       const DirtyRowSet* dirty = nullptr);
 
-  /// Publishes a streaming model with a full copy: every chunk of `center`
-  /// is materialized and `catalog` (already a copy of the actor's resolver
-  /// state) is adopted. This is the delta_publish=false A/B path.
+  /// Publishes a streaming model: `center` holds the frozen rows in
+  /// unit-id order (built by ChunkedMatrix::Copy, fully or against the
+  /// previous snapshot) and `catalog` — a copy of the actor's — is adopted.
   static std::shared_ptr<const ModelSnapshot> FromOnline(
-      const EmbeddingMatrix& center, OnlineCatalog catalog, uint64_t version);
+      ChunkedMatrix center, OnlineCatalog catalog, uint64_t version);
 
-  /// Delta publish with an unchanged unit set: center is chunk-COW copied
-  /// against `prev` (which must be an online-path snapshot) and the whole
-  /// catalogue state is shared with it. Requires
-  /// prev->num_units() == center.rows().
-  static std::shared_ptr<const ModelSnapshot> FromOnlineDelta(
-      const EmbeddingMatrix& center, uint64_t version,
-      const std::shared_ptr<const ModelSnapshot>& prev,
-      const DirtyRowSet& dirty);
-
-  /// Delta publish after units were added: center is chunk-COW copied
-  /// against `prev` (appended rows must be marked dirty) and the catalogue
-  /// is rebuilt from `catalog`.
-  static std::shared_ptr<const ModelSnapshot> FromOnlineDelta(
-      const EmbeddingMatrix& center, uint64_t version,
-      const std::shared_ptr<const ModelSnapshot>& prev,
-      const DirtyRowSet& dirty, OnlineCatalog catalog);
+  /// A new online snapshot over `center` that shares this snapshot's whole
+  /// catalogue state: the delta publish when no unit was added since this
+  /// snapshot. Requires num_units() == center.rows().
+  std::shared_ptr<const ModelSnapshot> WithCenter(ChunkedMatrix center,
+                                                  uint64_t version) const;
 
   /// Monotonic model version. Batch snapshots are stamped by the trainer
   /// (PublishActorModel uses the total SGD step count); online snapshots

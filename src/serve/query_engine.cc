@@ -79,9 +79,7 @@ Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
   }
   const std::size_t keep = std::min<std::size_t>(k, results.size());
   // Ties break toward the lower unit id, making the top-k *set* a pure
-  // function of (snapshot, query, k) rather than of candidate scan order —
-  // the property the sharded scatter-gather merge needs to reproduce this
-  // result exactly from per-shard heads (docs/sharding.md).
+  // function of (snapshot, query, k) rather than of candidate scan order.
   std::partial_sort(results.begin(), results.begin() + keep, results.end(),
                     [](const Neighbor& a, const Neighbor& b) {
                       return a.similarity > b.similarity ||

@@ -16,8 +16,7 @@ namespace actor {
 /// its cosine similarity to the query. Top-k results order by similarity
 /// descending with ties broken by ascending unit id, in both the sequential
 /// and batched paths — an explicit total order, so the result set never
-/// depends on candidate scan order (the contract the sharded scatter-gather
-/// merge builds on, docs/sharding.md).
+/// depends on candidate scan order.
 struct Neighbor {
   VertexId vertex = kInvalidVertex;
   std::string name;

@@ -19,8 +19,8 @@ namespace actor {
 /// for within-shard edges, two replicas for cross-shard edges. Each shard
 /// trainer then draws from its own store and trains only the orientations
 /// whose *center* endpoint it owns, so a cross-shard edge receives its two
-/// oriented updates from the two owners — the same 2x per-edge budget the
-/// unsharded trainer spends, split by ownership (docs/sharding.md).
+/// oriented updates from the two owners — the same 2x per-edge budget a
+/// one-shard model spends, split by ownership (docs/sharding.md).
 ///
 /// Replica consistency: both replicas see the identical Accumulate/Decay
 /// sequence, so their weights stay bit-equal and they drop on the same

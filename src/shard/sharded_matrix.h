@@ -60,8 +60,8 @@ class ShardedEmbeddingMatrix {
   }
 
   /// Gathers the shards into one flat matrix in global-id order — the
-  /// bridge back to every unsharded consumer (flat publish, evaluation,
-  /// the shards>1 A/B equivalence tests). O(rows * dim) copy.
+  /// reference a published snapshot is checked against in tests and the
+  /// shard smoke. O(rows * dim) copy.
   EmbeddingMatrix Gather(const ShardMap& map) const {
     ACTOR_DCHECK(map.num_shards() == num_shards());
     ACTOR_DCHECK(map.num_vertices() == total_rows());

@@ -10,76 +10,52 @@
 
 namespace actor {
 
-/// How a VertexPartitioner assigns vertex ids to shards.
-///
-/// * kHash — SplitMix64 of the vertex id, modulo the shard count. Spreads
-///   hot vertices uniformly regardless of arrival order; the default.
-/// * kRange — contiguous blocks of `range_block` consecutive ids,
-///   round-robined across shards. Preserves id locality (units created
-///   together, which tend to co-occur in edges, land on the same shard),
-///   trading balance for fewer cross-shard edges.
-enum class ShardStrategy : uint8_t { kHash = 0, kRange };
-
-/// Partitioning spec. `per_type` optionally overrides the strategy for an
-/// individual vertex type (the paper's T/L/W/U modalities have very
-/// different id-arrival patterns: temporal units are dense and periodic,
-/// words are heavy-tailed), indexed by static_cast<int>(VertexType).
-struct PartitionSpec {
-  int num_shards = 1;
-  ShardStrategy strategy = ShardStrategy::kHash;
-  int32_t range_block = 64;
-  ShardStrategy per_type[kNumVertexTypes] = {
-      ShardStrategy::kHash, ShardStrategy::kHash, ShardStrategy::kHash,
-      ShardStrategy::kHash};
-  bool use_per_type = false;
-};
-
-/// Pure function from (vertex id, vertex type) to owner shard. Stateless,
-/// so the same spec reproduces the same assignment in every process — the
-/// property the multi-process extension relies on (docs/sharding.md).
+/// Pure function from vertex id to owner shard: SplitMix64 of the id,
+/// modulo the shard count, which spreads hot vertices uniformly regardless
+/// of arrival order. Stateless, so the same shard count reproduces the same
+/// assignment in every process — the property the multi-process extension
+/// relies on (docs/sharding.md).
 class VertexPartitioner {
  public:
-  VertexPartitioner() : spec_{} {}
-  explicit VertexPartitioner(const PartitionSpec& spec) : spec_(spec) {
-    ACTOR_DCHECK(spec.num_shards >= 1)
-        << "num_shards must be >= 1, got " << spec.num_shards;
-    ACTOR_DCHECK(spec.range_block >= 1);
+  VertexPartitioner() = default;
+  explicit VertexPartitioner(int num_shards) : num_shards_(num_shards) {
+    ACTOR_DCHECK(num_shards >= 1)
+        << "num_shards must be >= 1, got " << num_shards;
   }
 
-  int num_shards() const { return spec_.num_shards; }
+  int num_shards() const { return num_shards_; }
 
-  /// Owner shard of vertex `v` (dense id) of the given type.
-  int Assign(VertexId v, VertexType type) const {
+  /// Owner shard of vertex `v` (dense id).
+  int Assign(VertexId v) const {
     ACTOR_DCHECK(v >= 0);
-    if (spec_.num_shards == 1) return 0;
-    const ShardStrategy strategy =
-        spec_.use_per_type ? spec_.per_type[static_cast<int>(type)]
-                           : spec_.strategy;
-    if (strategy == ShardStrategy::kRange) {
-      return static_cast<int>((v / spec_.range_block) %
-                              spec_.num_shards);
-    }
+    if (num_shards_ == 1) return 0;
     return static_cast<int>(SplitMix64(static_cast<uint64_t>(v)) %
-                            static_cast<uint64_t>(spec_.num_shards));
+                            static_cast<uint64_t>(num_shards_));
   }
 
  private:
-  PartitionSpec spec_;
+  int num_shards_ = 1;
 };
 
 /// Explicit tile-ownership map: global vertex id -> (owner shard, local
 /// row). The single-machine analogue of DistEmbed's process-grid tile map —
 /// every sharded container (ShardedEmbeddingMatrix, ShardedEdgeStore, the
-/// per-shard snapshots) indexes its rows by the local ids recorded here.
+/// per-shard dirty sets) indexes its rows by the local ids recorded here.
 ///
 /// Invariant — *order-preserving local ids*: vertices are registered in
 /// global-id order (AddVertex requires global == num_vertices()), and each
 /// shard hands out local rows in registration order, so `globals(s)` is
-/// strictly increasing. Scatter-gather top-k relies on this: per-shard
-/// (score, local id) order agrees with global (score, global id) order, so
-/// merging per-shard heads reproduces the unsharded tie-break exactly.
+/// strictly increasing. At one shard local ids therefore equal global ids,
+/// so the flat layout is the one-shard case of this map.
 class ShardMap {
  public:
+  /// Where one vertex lives. Owner and local row share a slot, so the
+  /// trainer's per-draw routing is one load.
+  struct Slot {
+    int32_t owner = 0;
+    int32_t local = 0;
+  };
+
   ShardMap() : ShardMap(1) {}
   explicit ShardMap(int num_shards)
       : num_shards_(num_shards), globals_(num_shards) {
@@ -87,7 +63,7 @@ class ShardMap {
   }
 
   int num_shards() const { return num_shards_; }
-  int32_t num_vertices() const { return static_cast<int32_t>(owner_.size()); }
+  int32_t num_vertices() const { return static_cast<int32_t>(slots_.size()); }
 
   /// Registers the next global vertex on `owner`; returns its local row.
   int32_t AddVertex(VertexId global, int owner) {
@@ -96,21 +72,17 @@ class ShardMap {
         << ", expected " << num_vertices();
     ACTOR_DCHECK(owner >= 0 && owner < num_shards_);
     const int32_t local = static_cast<int32_t>(globals_[owner].size());
-    owner_.push_back(owner);
-    local_.push_back(local);
+    slots_.push_back({owner, local});
     globals_[owner].push_back(global);
     return local;
   }
 
-  int owner(VertexId v) const {
+  const Slot& slot(VertexId v) const {
     ACTOR_DCHECK(v >= 0 && v < num_vertices()) << "vertex " << v;
-    return owner_[static_cast<std::size_t>(v)];
+    return slots_[static_cast<std::size_t>(v)];
   }
-
-  int32_t local_row(VertexId v) const {
-    ACTOR_DCHECK(v >= 0 && v < num_vertices()) << "vertex " << v;
-    return local_[static_cast<std::size_t>(v)];
-  }
+  int owner(VertexId v) const { return slot(v).owner; }
+  int32_t local_row(VertexId v) const { return slot(v).local; }
 
   VertexId global_id(int shard, int32_t local) const {
     ACTOR_DCHECK(shard >= 0 && shard < num_shards_);
@@ -125,13 +97,6 @@ class ShardMap {
     return globals_[shard];
   }
 
-  /// Whole-array views, for freezing the map into a ShardMapSnapshot.
-  const std::vector<int32_t>& owners() const { return owner_; }
-  const std::vector<int32_t>& locals() const { return local_; }
-  const std::vector<std::vector<VertexId>>& all_globals() const {
-    return globals_;
-  }
-
   int32_t shard_size(int shard) const {
     ACTOR_DCHECK(shard >= 0 && shard < num_shards_);
     return static_cast<int32_t>(globals_[shard].size());
@@ -139,8 +104,7 @@ class ShardMap {
 
  private:
   int num_shards_ = 1;
-  std::vector<int32_t> owner_;              // global id -> shard
-  std::vector<int32_t> local_;              // global id -> local row
+  std::vector<Slot> slots_;                     // global id -> slot
   std::vector<std::vector<VertexId>> globals_;  // shard -> local -> global
 };
 

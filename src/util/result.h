@@ -50,16 +50,6 @@ class Result {
     return std::move(*value_);
   }
 
-  /// Moves the contained value out, debug-checked only. For callers on the
-  /// serving hot path that have already established ok() (e.g. the
-  /// scatter-gather engine unwrapping per-shard results it validated
-  /// up front): the checked accessors route through Status::CheckOK, whose
-  /// failure path performs IO — banned on non-blocking paths (R10).
-  T MoveValueUnchecked() {
-    ACTOR_DCHECK(ok()) << status().message();
-    return std::move(*value_);
-  }
-
   T* operator->() { return &ValueOrDie(); }
   const T* operator->() const { return &ValueOrDie(); }
   T& operator*() { return ValueOrDie(); }

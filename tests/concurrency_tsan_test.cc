@@ -21,7 +21,6 @@
 #include "embedding/skipgram.h"
 #include "eval/pipeline.h"
 #include "serve/query_engine.h"
-#include "shard/sharded_query_engine.h"
 #include "util/thread_pool.h"
 #include "util/vec_math.h"
 
@@ -124,11 +123,11 @@ TEST(ConcurrencyTsanTest, TrainSkipGramMultiThread) {
 }
 
 TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
-  // Streaming path: the sharded re-embed phase writes shared center/context
-  // rows lock-free through the dispatched kernels, so the relaxed backend
-  // must cover it — this is the TSan witness for the OnlineActor port.
-  // Exercises decay, drops, and incremental sampler rebuilds across
-  // batches while shards collide on the hottest rows.
+  // Streaming path: four shard epochs run at once on the pool, each
+  // writing only its own rows, dirty set and remote-tile copies, while the
+  // barrier-time tile refresh reads every shard's context rows. TSan must
+  // see no race between the epochs or across the barrier. Exercises decay,
+  // drops, and incremental sampler rebuilds across batches.
   SyntheticConfig config;
   config.seed = 11;
   config.num_records = 900;
@@ -154,6 +153,7 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
+  options.num_shards = 4;
   options.num_threads = kThreads;
   options.pool = &pool;  // caller-owned persistent pool, PR 1 substrate
   auto model = OnlineActor::Create(options);
@@ -162,7 +162,7 @@ TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
     ASSERT_TRUE(model->Ingest(batch).ok());
   }
   EXPECT_GT(model->num_live_edges(), 0u);
-  EXPECT_TRUE(AllFinite(model->center()));
+  EXPECT_TRUE(AllFinite(model->GatherCenter()));
 }
 
 TEST(ConcurrencyTsanTest, QueryDuringIngest) {
@@ -316,13 +316,11 @@ TEST(ConcurrencyTsanTest, BatchedQueryDuringIngest) {
 }
 
 TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
-  // Delta-publish flavor of QueryDuringIngest, with the re-embed phase
-  // sharded over a pool: shards mark shard-local dirty sets inside the
-  // hogwild region, the ingest thread merges them at the batch barrier
-  // and chunk-COW publishes against the previous snapshot, all while
-  // query threads keep acquiring and scoring. TSan must see no races in
-  // the dirty bookkeeping or the chunk sharing, and a snapshot held from
-  // before the writer started must stay byte-frozen throughout.
+  // Delta-publish flavor of QueryDuringIngest at the default single
+  // shard: the ingest thread chunk-COW publishes against the previous
+  // snapshot while query threads keep acquiring and scoring. TSan must see
+  // no races in the chunk sharing, and a snapshot held from before the
+  // writer started must stay byte-frozen throughout.
   SyntheticConfig config;
   config.seed = 43;
   config.num_records = 900;
@@ -344,12 +342,9 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
         corpus->record(i));
   }
 
-  ThreadPool train_pool(kThreads);
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
-  options.num_threads = kThreads;
-  options.pool = &train_pool;
   options.delta_publish = true;  // explicit: this is the delta smoke
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
@@ -399,13 +394,12 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
 }
 
 TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
-  // The sharded serving contract: the ingest thread trains per-shard
-  // epochs on its own pool and publishes composite snapshots through
-  // ShardedSnapshotStore's atomic slot, while query workers acquire the
-  // composite and scatter-gather across the per-shard engines. The
-  // composite swap is a single pointer store, so a worker can never see a
-  // torn mix of shard versions — and TSan must see no races between the
-  // per-shard trainers (owned rows + private tile copies only) and the
+  // The serving contract at four shards: the ingest thread trains four
+  // shard epochs at once on its own pool and delta-publishes flat
+  // snapshots, each dirty chunk gathered from the owning shards, while
+  // query workers acquire the current snapshot and query it through
+  // QueryEngine. TSan must see no races between the per-shard trainers
+  // (owned rows + private tile copies only), the publish gather, and the
   // readers.
   SyntheticConfig config;
   config.seed = 83;
@@ -432,14 +426,14 @@ TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
-  options.num_shards = 2;
+  options.num_shards = 4;
   options.num_threads = kThreads;
   options.pool = &train_pool;
-  options.delta_publish = true;  // per-shard chunk-COW under concurrency
+  options.delta_publish = true;  // chunk gather under concurrency
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  ASSERT_NE(model->PublishShardedSnapshot(), nullptr);
+  ASSERT_NE(model->PublishSnapshot(), nullptr);
   const GeoPoint probe = batches[0].front().location;
 
   ThreadPool query_pool(kThreads);
@@ -452,15 +446,15 @@ TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
       uint64_t last_version = 0;
       while (!ingest_done.load(std::memory_order_acquire) || spins < 50) {
         ++spins;
-        auto snap = model->CurrentShardedSnapshot();
+        auto snap = model->CurrentSnapshot();
         if (snap == nullptr) continue;
-        // Versions move forward only: a stale composite would mean the
+        // Versions move forward only: a stale snapshot would mean the
         // pointer swap tore or the store lost release ordering.
         if (snap->version() < last_version) {
           query_failures.fetch_add(1, std::memory_order_relaxed);
         }
         last_version = snap->version();
-        ShardedQueryEngine engine(std::move(snap));
+        QueryEngine engine(std::move(snap));
         auto words = engine.QueryByLocation(probe, VertexType::kWord,
                                             3 + (t % 3));
         auto hours = engine.QueryByHour(9.0 + t, VertexType::kTime, 2);
@@ -473,18 +467,16 @@ TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
   }
   for (std::size_t b = 1; b < batches.size(); ++b) {
     ASSERT_TRUE(model->Ingest(batches[b]).ok());
-    model->PublishShardedSnapshot();
+    model->PublishSnapshot();
   }
   ingest_done.store(true, std::memory_order_release);
   query_pool.Wait();
 
   EXPECT_EQ(query_failures.load(), 0);
   EXPECT_GT(queries_done.load(), 0);
-  auto last = model->CurrentShardedSnapshot();
+  auto last = model->CurrentSnapshot();
   ASSERT_NE(last, nullptr);
-  for (int s = 0; s < last->num_shards(); ++s) {
-    EXPECT_TRUE(AllFinite(last->shard(s)->center()));
-  }
+  EXPECT_TRUE(AllFinite(last->center()));
 }
 
 TEST(ConcurrencyTsanTest, TsanBuildInstallsRelaxedBackend) {

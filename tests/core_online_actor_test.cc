@@ -58,6 +58,9 @@ TEST(OnlineActorTest, CreateValidatesOptions) {
   o = FastOptions();
   o.samples_per_edge_per_batch = 0.0;
   EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
+  o = FastOptions();
+  o.num_shards = 0;
+  EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
 }
 
 TEST(OnlineActorTest, EmptyBatchIsAPureDecayTick) {
@@ -293,24 +296,34 @@ TEST(OnlineActorTest, IncrementalSamplerMatchesFullRebuildDeterministically) {
 }
 
 TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
-  // HOGWILD re-embed: not bit-deterministic, but it must still converge to
-  // a usable space and keep every vector finite.
+  // Four shards, their epochs run on one thread or four: threads only pick
+  // which shard epochs run at once, so both runs are bit-identical — and
+  // the sharded space must still converge to a usable model.
   const auto batches = MakeBatches(2000, 4, 9);
   OnlineActorOptions options = FastOptions();
-  options.num_threads = 4;
+  options.num_shards = 4;
   options.samples_per_edge_per_batch = 4.0;
+  OnlineActorOptions parallel = options;
+  parallel.num_threads = 4;
   auto model = OnlineActor::Create(options);
-  ASSERT_TRUE(model.ok());
+  auto par = OnlineActor::Create(parallel);
+  ASSERT_TRUE(model.ok() && par.ok());
   for (const auto& batch : batches) {
     ASSERT_TRUE(model->Ingest(batch).ok());
+    ASSERT_TRUE(par->Ingest(batch).ok());
   }
-  for (VertexId v = 0; v < model->num_units(); ++v) {
+  const EmbeddingMatrix a = model->GatherCenter();
+  const EmbeddingMatrix b = par->GatherCenter();
+  ASSERT_EQ(a.rows(), b.rows());
+  for (VertexId v = 0; v < a.rows(); ++v) {
     for (int d = 0; d < 16; ++d) {
-      ASSERT_TRUE(std::isfinite(model->center().row(v)[d]));
+      ASSERT_TRUE(std::isfinite(a.row(v)[d]));
+      ASSERT_EQ(a.row(v)[d], b.row(v)[d]) << "unit " << v << " dim " << d;
     }
   }
   // Same prequential ranking as LearnsCrossModalStructure, looser bar:
-  // HOGWILD noise costs a little quality but the space must stay usable.
+  // remote context rows are one batch stale, which costs a little quality,
+  // but the space must stay usable.
   Rng rng(3);
   std::vector<int> ranks;
   const auto& test = batches.back();
@@ -331,7 +344,7 @@ TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
   }
   ASSERT_GT(ranks.size(), 50u);
   EXPECT_GT(MeanReciprocalRank(ranks), 0.35)
-      << "multi-thread streaming space degenerated";
+      << "sharded streaming space degenerated";
 }
 
 }  // namespace

@@ -143,9 +143,9 @@ TEST(DeltaPublishTest, CleanChunksAreSharedWithPreviousSnapshot) {
   dirty.Resize(n);
   dirty.Mark(0);
   dirty.Mark(ChunkedMatrix::kChunkRows - 1);
-  auto delta = ModelSnapshot::FromOnlineDelta(model->center(),
-                                              base->version() + 1, base,
-                                              dirty);
+  auto delta = base->WithCenter(
+      ChunkedMatrix::DeltaCopy(model->center(), base->center(), dirty),
+      base->version() + 1);
   ASSERT_NE(delta, nullptr);
   EXPECT_EQ(delta->center().num_chunks(), base->center().num_chunks());
   EXPECT_EQ(delta->center().SharedChunksWith(base->center()),
@@ -156,8 +156,9 @@ TEST(DeltaPublishTest, CleanChunksAreSharedWithPreviousSnapshot) {
   DirtyRowSet all;
   all.Resize(n);
   all.MarkAll();
-  auto fresh = ModelSnapshot::FromOnlineDelta(model->center(),
-                                              base->version() + 2, base, all);
+  auto fresh = base->WithCenter(
+      ChunkedMatrix::DeltaCopy(model->center(), base->center(), all),
+      base->version() + 2);
   EXPECT_EQ(fresh->center().SharedChunksWith(base->center()), 0);
   EXPECT_TRUE(SameMatrix(fresh->center(), base->center()));
 }

@@ -156,14 +156,13 @@ TEST_F(QueryEngineTest, StatusMessagesMatchPreRefactorContract) {
 
 // Ranking ties are part of the serving contract: equal similarities order
 // by ascending unit id, making top-k results a deterministic function of
-// the snapshot in both the sequential and the batched scoring path (and
-// letting the sharded scatter-gather merge reproduce flat results
-// exactly). Built on a hand-rolled snapshot so the ties are exact.
+// the snapshot in both the sequential and the batched scoring path. Built
+// on a hand-rolled snapshot so the ties are exact.
 TEST(QueryEngineTieBreakTest, EqualScoresOrderByAscendingUnitId) {
   const int32_t dim = 4;
   const int32_t n = 8;
   EmbeddingMatrix center(n, dim);
-  ModelSnapshot::OnlineCatalog catalog;
+  OnlineCatalog catalog;
   for (int32_t v = 0; v < n; ++v) {
     float* r = center.row(v);
     // Two exact tie groups: even ids all point along the query, odd ids
@@ -176,7 +175,8 @@ TEST(QueryEngineTieBreakTest, EqualScoresOrderByAscendingUnitId) {
     catalog.types.push_back(VertexType::kWord);
     catalog.names.push_back("w" + std::to_string(v));
   }
-  const auto snap = ModelSnapshot::FromOnline(center, std::move(catalog), 1);
+  const auto snap = ModelSnapshot::FromOnline(ChunkedMatrix::FullCopy(center),
+                                              std::move(catalog), 1);
   QueryEngine engine(snap);
   const float query[dim] = {1.0f, 0.0f, 0.0f, 0.0f};
 

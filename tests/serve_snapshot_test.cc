@@ -275,10 +275,12 @@ TEST(SnapshotStoreTest, PublishAcquireRoundTrip) {
   SnapshotStore store;
   EXPECT_EQ(store.Acquire(), nullptr);
   EmbeddingMatrix m(4, 8);
-  auto snap = ModelSnapshot::FromOnline(m, {}, /*version=*/3);
+  auto snap =
+      ModelSnapshot::FromOnline(ChunkedMatrix::FullCopy(m), {}, /*version=*/3);
   store.Publish(snap);
   EXPECT_EQ(store.Acquire(), snap);
-  auto newer = ModelSnapshot::FromOnline(m, {}, /*version=*/4);
+  auto newer =
+      ModelSnapshot::FromOnline(ChunkedMatrix::FullCopy(m), {}, /*version=*/4);
   store.Publish(newer);
   EXPECT_EQ(store.Acquire(), newer);
   // The superseded snapshot survives as long as someone holds it.

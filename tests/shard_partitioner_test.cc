@@ -6,82 +6,37 @@
 
 #include "shard/sharded_edge_store.h"
 #include "shard/sharded_matrix.h"
-#include "util/rng.h"
 
 namespace actor {
 namespace {
 
 TEST(VertexPartitionerTest, SingleShardAssignsEverythingToZero) {
-  PartitionSpec spec;
-  spec.num_shards = 1;
-  VertexPartitioner p(spec);
+  VertexPartitioner p(1);
   for (VertexId v = 0; v < 100; ++v) {
-    EXPECT_EQ(p.Assign(v, VertexType::kWord), 0);
+    EXPECT_EQ(p.Assign(v), 0);
   }
 }
 
 TEST(VertexPartitionerTest, HashIsStableAndInRange) {
-  PartitionSpec spec;
-  spec.num_shards = 4;
-  VertexPartitioner p(spec);
+  VertexPartitioner p(4);
   std::vector<int> counts(4, 0);
   for (VertexId v = 0; v < 4000; ++v) {
-    const int s = p.Assign(v, VertexType::kLocation);
+    const int s = p.Assign(v);
     ASSERT_GE(s, 0);
     ASSERT_LT(s, 4);
     // Stateless: the same id always maps to the same shard.
-    EXPECT_EQ(p.Assign(v, VertexType::kLocation), s);
+    EXPECT_EQ(p.Assign(v), s);
     ++counts[static_cast<std::size_t>(s)];
   }
   // SplitMix64 spreads dense ids near-uniformly; no shard may be starved.
   for (int c : counts) EXPECT_GT(c, 4000 / 8);
 }
 
-TEST(VertexPartitionerTest, RangeKeepsBlocksTogether) {
-  PartitionSpec spec;
-  spec.num_shards = 3;
-  spec.strategy = ShardStrategy::kRange;
-  spec.range_block = 10;
-  VertexPartitioner p(spec);
-  // Ids 0..9 share a block, 10..19 the next, round-robined across shards.
-  for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(p.Assign(v, VertexType::kTime), 0);
-  for (VertexId v = 10; v < 20; ++v) {
-    EXPECT_EQ(p.Assign(v, VertexType::kTime), 1);
-  }
-  for (VertexId v = 30; v < 40; ++v) {
-    EXPECT_EQ(p.Assign(v, VertexType::kTime), 0);
-  }
-}
-
-TEST(VertexPartitionerTest, PerTypeOverrideSelectsStrategyByType) {
-  PartitionSpec spec;
-  spec.num_shards = 2;
-  spec.strategy = ShardStrategy::kHash;
-  spec.use_per_type = true;
-  spec.per_type[static_cast<int>(VertexType::kTime)] = ShardStrategy::kRange;
-  spec.per_type[static_cast<int>(VertexType::kWord)] = ShardStrategy::kHash;
-  spec.range_block = 4;
-  VertexPartitioner p(spec);
-  // Temporal ids follow the range layout...
-  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(p.Assign(v, VertexType::kTime), 0);
-  for (VertexId v = 4; v < 8; ++v) EXPECT_EQ(p.Assign(v, VertexType::kTime), 1);
-  // ...while word ids hash (match the hash partitioner's answer).
-  PartitionSpec hash_spec;
-  hash_spec.num_shards = 2;
-  VertexPartitioner hash(hash_spec);
-  for (VertexId v = 0; v < 64; ++v) {
-    EXPECT_EQ(p.Assign(v, VertexType::kWord),
-              hash.Assign(v, VertexType::kWord));
-  }
-}
-
 TEST(ShardMapTest, LocalIdsAreDenseAndOrderPreserving) {
   ShardMap map(3);
-  PartitionSpec spec;
-  spec.num_shards = 3;
-  VertexPartitioner p(spec);
+  VertexPartitioner p(3);
   for (VertexId v = 0; v < 300; ++v) {
-    const int owner = p.Assign(v, VertexType::kUser);
+    const int owner = p.Assign(v);
     const int32_t local = map.AddVertex(v, owner);
     EXPECT_EQ(map.owner(v), owner);
     EXPECT_EQ(map.local_row(v), local);
@@ -91,8 +46,8 @@ TEST(ShardMapTest, LocalIdsAreDenseAndOrderPreserving) {
   int32_t total = 0;
   for (int s = 0; s < 3; ++s) {
     total += map.shard_size(s);
-    // The order-preserving invariant scatter-gather merging relies on:
-    // each shard's global ids are strictly increasing in local-row order.
+    // The order-preserving invariant: each shard's global ids are strictly
+    // increasing in local-row order.
     const std::vector<VertexId>& globals = map.globals(s);
     for (std::size_t i = 1; i < globals.size(); ++i) {
       EXPECT_LT(globals[i - 1], globals[i]);
@@ -104,13 +59,10 @@ TEST(ShardMapTest, LocalIdsAreDenseAndOrderPreserving) {
 TEST(ShardedMatrixTest, GatherReassemblesGlobalOrder) {
   const int32_t dim = 8;
   ShardMap map(2);
-  PartitionSpec spec;
-  spec.num_shards = 2;
-  VertexPartitioner p(spec);
+  VertexPartitioner p(2);
   ShardedEmbeddingMatrix m(2, dim);
-  Rng rng(7);
   for (VertexId v = 0; v < 50; ++v) {
-    const int owner = p.Assign(v, VertexType::kWord);
+    const int owner = p.Assign(v);
     map.AddVertex(v, owner);
     const int32_t local = m.AppendRow(owner, nullptr);
     // Stamp each row with its global id so gather order is checkable.

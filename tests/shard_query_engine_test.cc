@@ -1,11 +1,11 @@
-#include "shard/sharded_query_engine.h"
-
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/online_actor.h"
 #include "data/synthetic.h"
+#include "serve/chunked_matrix.h"
+#include "serve/model_snapshot.h"
 #include "serve/query_engine.h"
 
 namespace actor {
@@ -36,13 +36,13 @@ std::vector<std::vector<TokenizedRecord>> MakeBatches(int records,
   return out;
 }
 
-/// A trained 2-shard actor plus both serving views of the same model
-/// state: the flat engine on the gathered snapshot and the scatter-gather
-/// engine on the composite.
+/// A model trained at `num_shards` shards, delta-published after every
+/// batch, plus the reference view of the same state: a full snapshot built
+/// from the gathered center matrix and the actor's catalogue.
 struct Harness {
   Result<OnlineActor> model;
-  std::shared_ptr<const ModelSnapshot> flat_snap;
-  std::shared_ptr<const ShardedModelSnapshot> sharded_snap;
+  std::shared_ptr<const ModelSnapshot> published;
+  std::shared_ptr<const ModelSnapshot> gathered;
 };
 
 Harness MakeHarness(int num_shards, int records = 900) {
@@ -55,11 +55,12 @@ Harness MakeHarness(int num_shards, int records = 900) {
   const auto batches = MakeBatches(records, 3);
   for (const auto& batch : batches) {
     EXPECT_TRUE(h.model->Ingest(batch).ok());
+    h.published = h.model->PublishSnapshot();
   }
-  h.flat_snap = h.model->PublishSnapshot();
-  h.sharded_snap = h.model->PublishShardedSnapshot();
-  EXPECT_NE(h.flat_snap, nullptr);
-  EXPECT_NE(h.sharded_snap, nullptr);
+  EXPECT_NE(h.published, nullptr);
+  h.gathered = ModelSnapshot::FromOnline(
+      ChunkedMatrix::FullCopy(h.model->GatherCenter()), h.model->catalog(),
+      h.published->version());
   return h;
 }
 
@@ -80,54 +81,57 @@ void ExpectSameNeighbors(const Result<std::vector<Neighbor>>& a,
   }
 }
 
-// The scatter-gather acceptance bar: at shards>1, the same (score, unit)
-// list — same order, same similarity bits — as the flat engine on the
-// gathered snapshot of the same model state, across query modalities and
-// result types.
-TEST(ShardedQueryEngineTest, ScatterGatherMatchesFlatEngineAtTwoShards) {
+// Shards partition training only: the snapshot a 2-shard actor publishes
+// (delta-copied chunk by chunk from the owning shards) answers every query
+// exactly like a snapshot of the gathered model — same units, same
+// similarity bits, same order — across modalities and result types.
+TEST(ShardedModelQueryTest, PublishedSnapshotMatchesGatheredModel) {
   Harness h = MakeHarness(2);
-  QueryEngine flat(h.flat_snap);
-  ShardedQueryEngine scatter(h.sharded_snap);
-  EXPECT_EQ(h.sharded_snap->num_shards(), 2);
+  QueryEngine published(h.published);
+  QueryEngine gathered(h.gathered);
+  ASSERT_EQ(h.published->num_units(), h.gathered->num_units());
 
   const GeoPoint somewhere{3.0, 4.0};
   for (const VertexType type :
        {VertexType::kWord, VertexType::kLocation, VertexType::kTime,
         VertexType::kUser}) {
     for (const int k : {1, 5, 16}) {
-      ExpectSameNeighbors(flat.QueryByLocation(somewhere, type, k),
-                          scatter.QueryByLocation(somewhere, type, k));
-      ExpectSameNeighbors(flat.QueryByHour(8.5, type, k),
-                          scatter.QueryByHour(8.5, type, k));
+      ExpectSameNeighbors(gathered.QueryByLocation(somewhere, type, k),
+                          published.QueryByLocation(somewhere, type, k));
+      ExpectSameNeighbors(gathered.QueryByHour(8.5, type, k),
+                          published.QueryByHour(8.5, type, k));
     }
   }
-  // Raw-vector queries with a global exclude id resolve identically too.
   std::vector<float> q(16, 0.25f);
   ExpectSameNeighbors(
-      flat.QueryByVector(q.data(), VertexType::kWord, 9, 3),
-      scatter.QueryByVector(q.data(), VertexType::kWord, 9, 3));
+      gathered.QueryByVector(q.data(), VertexType::kWord, 9, 3),
+      published.QueryByVector(q.data(), VertexType::kWord, 9, 3));
 }
 
-TEST(ShardedQueryEngineTest, MergeHandlesKLargerThanPerShardUnits) {
+TEST(ShardedModelQueryTest, KLargerThanUnitCountAtFourShards) {
   Harness h = MakeHarness(4, 400);
-  QueryEngine flat(h.flat_snap);
-  ShardedQueryEngine scatter(h.sharded_snap);
-  // k beyond the total unit count: every shard returns its whole type
-  // block and the merge must still reproduce the flat ranking exactly,
-  // without duplicates or truncation artifacts.
-  const int huge_k = h.flat_snap->num_units() + 50;
-  auto a = flat.QueryByHour(12.0, VertexType::kWord, huge_k);
-  auto b = scatter.QueryByHour(12.0, VertexType::kWord, huge_k);
+  QueryEngine published(h.published);
+  QueryEngine gathered(h.gathered);
+  // k beyond the total unit count returns the whole type block, still in
+  // (similarity desc, unit id asc) order.
+  const int huge_k = h.published->num_units() + 50;
+  auto a = gathered.QueryByHour(12.0, VertexType::kWord, huge_k);
+  auto b = published.QueryByHour(12.0, VertexType::kWord, huge_k);
   ExpectSameNeighbors(a, b);
   ASSERT_TRUE(b.ok());
-  ASSERT_FALSE(b->empty());
-  // Sanity: results really span several shards (k covered all units).
-  const ShardMapSnapshot& map = h.sharded_snap->map();
+  ASSERT_EQ(b->size(), h.published->VerticesOfType(VertexType::kWord).size());
+  for (std::size_t i = 1; i < b->size(); ++i) {
+    const Neighbor& x = (*b)[i - 1];
+    const Neighbor& y = (*b)[i];
+    EXPECT_TRUE(x.similarity > y.similarity ||
+                (x.similarity == y.similarity && x.vertex < y.vertex))
+        << "rank " << i;
+  }
+  // Sanity: the returned units really span several owner shards.
+  const ShardMap& map = h.model->shard_map();
   bool multi_shard = false;
-  const int first_owner =
-      map.owner[static_cast<std::size_t>((*b)[0].vertex)];
   for (const Neighbor& n : *b) {
-    if (map.owner[static_cast<std::size_t>(n.vertex)] != first_owner) {
+    if (map.owner(n.vertex) != map.owner((*b)[0].vertex)) {
       multi_shard = true;
       break;
     }
@@ -135,9 +139,9 @@ TEST(ShardedQueryEngineTest, MergeHandlesKLargerThanPerShardUnits) {
   EXPECT_TRUE(multi_shard);
 }
 
-TEST(ShardedQueryEngineTest, BatchMatchesSequentialOnShardedEngine) {
+TEST(ShardedModelQueryTest, BatchMatchesSequentialOnShardedModel) {
   Harness h = MakeHarness(2);
-  ShardedQueryEngine scatter(h.sharded_snap);
+  QueryEngine engine(h.published);
 
   std::vector<float> q(16, -0.5f);
   std::vector<BatchQuery> queries;
@@ -149,57 +153,21 @@ TEST(ShardedQueryEngineTest, BatchMatchesSequentialOnShardedEngine) {
   queries.push_back(BatchQuery::Hour(23.9, VertexType::kTime, 0));  // bad k
   queries.push_back(BatchQuery::Vector(q.data(), VertexType::kWord, 2, 1));
 
-  const auto batch = scatter.QueryBatch(queries);
+  const auto batch = engine.QueryBatch(queries);
   ASSERT_EQ(batch.size(), queries.size());
   ExpectSameNeighbors(
-      scatter.QueryByLocation({3.0, 4.0}, VertexType::kWord, 5), batch[0]);
-  ExpectSameNeighbors(scatter.QueryByHour(8.5, VertexType::kLocation, 3),
+      engine.QueryByLocation({3.0, 4.0}, VertexType::kWord, 5), batch[0]);
+  ExpectSameNeighbors(engine.QueryByHour(8.5, VertexType::kLocation, 3),
                       batch[1]);
   // Keyword on a streaming snapshot: NotFound, same text both paths.
   EXPECT_TRUE(batch[2].status().IsNotFound());
   ExpectSameNeighbors(
-      scatter.QueryByKeyword("coffee", VertexType::kWord, 4), batch[2]);
+      engine.QueryByKeyword("coffee", VertexType::kWord, 4), batch[2]);
   ExpectSameNeighbors(
-      scatter.QueryByVector(q.data(), VertexType::kUser, 6), batch[3]);
+      engine.QueryByVector(q.data(), VertexType::kUser, 6), batch[3]);
   EXPECT_TRUE(batch[4].status().IsInvalidArgument());
   ExpectSameNeighbors(
-      scatter.QueryByVector(q.data(), VertexType::kWord, 2, 1), batch[5]);
-}
-
-TEST(ShardedQueryEngineTest, BatchMatchesFlatEngineBatch) {
-  Harness h = MakeHarness(2);
-  QueryEngine flat(h.flat_snap);
-  ShardedQueryEngine scatter(h.sharded_snap);
-
-  std::vector<float> q(16, 0.1f);
-  std::vector<BatchQuery> queries;
-  queries.push_back(BatchQuery::Hour(7.25, VertexType::kWord, 8));
-  queries.push_back(
-      BatchQuery::Location({-2.0, 1.0}, VertexType::kUser, 4));
-  queries.push_back(BatchQuery::Vector(q.data(), VertexType::kTime, 3));
-  queries.push_back(BatchQuery::Keyword("tea", VertexType::kWord, 2));
-
-  const auto a = flat.QueryBatch(queries);
-  const auto b = scatter.QueryBatch(queries);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ExpectSameNeighbors(a[i], b[i]);
-  }
-}
-
-TEST(ShardedQueryEngineTest, ErrorsMirrorFlatEngine) {
-  Harness h = MakeHarness(2);
-  QueryEngine flat(h.flat_snap);
-  ShardedQueryEngine scatter(h.sharded_snap);
-  std::vector<float> q(16, 0.0f);
-  // k validation precedence matches the flat engine's exactly.
-  EXPECT_TRUE(scatter.QueryByVector(q.data(), VertexType::kWord, 0)
-                  .status()
-                  .IsInvalidArgument());
-  ExpectSameNeighbors(flat.QueryByVector(q.data(), VertexType::kWord, -1),
-                      scatter.QueryByVector(q.data(), VertexType::kWord, -1));
-  ExpectSameNeighbors(flat.QueryByKeyword("x", VertexType::kWord, 5),
-                      scatter.QueryByKeyword("x", VertexType::kWord, 5));
+      engine.QueryByVector(q.data(), VertexType::kWord, 2, 1), batch[5]);
 }
 
 }  // namespace

@@ -1177,6 +1177,20 @@ TEST(RuleSnapshotEscape, SuppressibleWithNolint) {
   EXPECT_EQ(CountRule(findings, kRuleStaleNolint), 0);
 }
 
+TEST(RuleSnapshotEscape, TracksTheActorAccessor) {
+  // R13 tracks OnlineActor::CurrentSnapshot() like SnapshotStore::Acquire():
+  // a raw pointer derived from it escaping into a member outlives nothing.
+  const auto findings =
+      Lint({{"src/serve/x.cc",
+            "void f(const OnlineActor& actor) {\n"
+            "  auto snap = actor.CurrentSnapshot();\n"
+            "  const ModelSnapshot* p = snap.get();\n"
+            "  snap_ = p;\n"
+            "}\n"}});
+  ASSERT_EQ(CountRule(findings, kRuleSnapshotEscape), 1);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
 // --- Sharded subsystem (src/shard/) coverage --------------------------------
 
 TEST(ShardLint, HogwildPropagatesThroughPerShardDispatch) {
@@ -1215,84 +1229,6 @@ TEST(ShardLint, OwnedShardStateWritesAreClean) {
                               "  });\n"
                               "}\n"}});
   EXPECT_EQ(CountRule(findings, kRuleHogwild), 0);
-}
-
-TEST(ShardLint, ShardedQueryRootsMayAllocateButNotLock) {
-  // ShardedQueryEngine's Query* methods are scoring-path roots exactly
-  // like the flat engine's: scratch allocation at the boundary is fine,
-  // taking a lock there still blocks the read path.
-  const auto findings = Lint({{"src/shard/q.cc",
-                              "struct ShardedQueryEngine {\n"
-                              "  int QueryScatter(int k) const {\n"
-                              "    std::vector<int> merged(k);\n"
-                              "    std::lock_guard<std::mutex> g(mu_);\n"
-                              "    return merged[0];\n"
-                              "  }\n"
-                              "};\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleHotPath), 1);
-  EXPECT_EQ(findings[0].line, 4);
-  EXPECT_NE(findings[0].message.find("QueryEngine scoring path"),
-            std::string::npos);
-}
-
-TEST(ShardLint, HelpersReachableFromShardedRootsStayAllocFree) {
-  // Non-root helpers called from a sharded root join the hot path and may
-  // not allocate — only the Query* boundary itself gets that license.
-  const auto findings = Lint({{"src/shard/q.cc",
-                              "struct ShardedQueryEngine {\n"
-                              "  int QueryByVector(int k) const {\n"
-                              "    return MergeHeads(k);\n"
-                              "  }\n"
-                              "};\n"
-                              "int MergeHeads(int k) {\n"
-                              "  std::vector<int> tmp(k);\n"
-                              "  return tmp[0];\n"
-                              "}\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleHotPath), 1);
-  EXPECT_EQ(findings[0].line, 7);
-}
-
-TEST(ShardLint, CompositeAcquireLifetimeRulesApply) {
-  // R9 in a src/shard path, composite-store shape: `.get()` on the
-  // Acquire() temporary dies with the expression.
-  const auto findings =
-      Lint({{"src/shard/x.cc",
-            "void f(ShardedSnapshotStore& store) {\n"
-            "  const ShardedModelSnapshot* p = store.Acquire().get();\n"
-            "  Use(p);\n"
-            "}\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleSnapshotLifetime), 1);
-  EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(ShardLint, CompositeAccessorEscapesAreCaught) {
-  // R13 tracks the composite accessor too: a raw pointer derived from
-  // CurrentShardedSnapshot() escaping into a member outlives nothing.
-  const auto findings =
-      Lint({{"src/shard/x.cc",
-            "void f(const OnlineActor& actor) {\n"
-            "  auto snap = actor.CurrentShardedSnapshot();\n"
-            "  const ShardedModelSnapshot* p = snap.get();\n"
-            "  snap_ = p;\n"
-            "}\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleSnapshotEscape), 1);
-  EXPECT_EQ(findings[0].line, 4);
-}
-
-TEST(ShardLint, LockHeldAcrossCompositePublishFires) {
-  // The composite publish is the same single-pointer-swap boundary as the
-  // flat one: holding a lock across it serializes readers behind the
-  // writer, so R11's publish check applies unchanged in src/shard paths.
-  const auto findings =
-      Lint({{"src/shard/x.cc",
-            "void f(ShardedSnapshotStore& store, Composite c) {\n"
-            "  std::lock_guard<std::mutex> g(mu_);\n"
-            "  store.Publish(std::move(c));\n"
-            "}\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleLockOrder), 1);
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("held across Publish"),
-            std::string::npos);
 }
 
 // --- Cache stamping ---------------------------------------------------------

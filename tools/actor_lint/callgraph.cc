@@ -257,16 +257,14 @@ HotPathInfo ComputeHotPaths(const CallGraph& g, const HogwildInfo& hw,
   const std::size_t n_nodes = g.nodes().size();
   info.root.assign(n_nodes, 0);
 
-  // Scoring roots: Query* methods of QueryEngine (through any alias) and
-  // of the scatter-gather ShardedQueryEngine — the sharded serving
-  // boundary has the same contract as the flat one: the Query* bodies may
-  // allocate per-request scratch (heads, merge buffers) but must never
-  // block, and everything reachable beneath them stays allocation-free.
+  // Scoring roots: Query* methods of QueryEngine (through any alias). The
+  // Query* bodies may allocate per-request scratch but must never block,
+  // and everything reachable beneath them stays allocation-free.
   for (int n = 0; n < static_cast<int>(n_nodes); ++n) {
     const Symbol& s = g.Sym(n);
     if (!s.method || !StartsWith(s.name, "Query")) continue;
     const std::string& canon = g.CanonicalType(s.qualifier);
-    if (canon != "QueryEngine" && canon != "ShardedQueryEngine") continue;
+    if (canon != "QueryEngine") continue;
     info.query_roots.push_back(n);
     info.root[n] = 1;
   }

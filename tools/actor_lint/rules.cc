@@ -241,7 +241,7 @@ std::vector<Annotation> CollectAnnotations(
 /// Second half of R4: dirty-row bookkeeping inside a HOGWILD region. A
 /// shard may only mark rows in a set it exclusively owns — the
 /// `DirtyRowSet*` parameter threaded into the shard helper or a
-/// subscripted per-shard slot (`shard_dirty_[shard]`). Writing a plain
+/// subscripted per-shard slot (`owned_dirty_[shard]`). Writing a plain
 /// member set (trailing-underscore receiver, e.g. `dirty_.Mark(u)`) from
 /// inside a region is a data race: DirtyRowSet is a plain bitset with no
 /// atomics, shared across all running shards.
@@ -272,7 +272,7 @@ void CheckDirtyMarks(const LexedFile& f, const std::vector<Region>& regions,
           continue;  // free function / constructor — not a receiver call
         }
         while (j >= 0 && IsSpace(code[static_cast<std::size_t>(j)])) --j;
-        // Subscripted receiver (`shard_dirty_[shard].Mark`) is the
+        // Subscripted receiver (`owned_dirty_[shard].Mark`) is the
         // per-shard slot idiom — exclusively owned, allowed.
         if (j >= 0 && code[static_cast<std::size_t>(j)] == ']') continue;
         // Plain identifier receiver: flag only the member-naming
@@ -289,8 +289,7 @@ void CheckDirtyMarks(const LexedFile& f, const std::vector<Region>& regions,
               {f.path, f.LineAt(call_pos), kRuleHogwild,
                "member dirty-row set written from inside a HOGWILD region "
                "— mark the shard-owned set instead (the DirtyRowSet* shard "
-               "parameter or shard_dirty_[shard]) and merge at the batch "
-               "barrier"});
+               "parameter or a per-shard slot such as owned_dirty_[shard])"});
         }
       }
     }
@@ -506,11 +505,9 @@ std::vector<std::pair<std::size_t, std::size_t>> DispatchCallSpans(
   return spans;
 }
 
-/// Results of SnapshotStore::Acquire() / CurrentSnapshot() — and of the
-/// composite accessors (ShardedSnapshotStore::Acquire,
-/// CurrentShardedSnapshot) — may only live as shared_ptr snapshot locals
-/// (storing the shared_ptr in a member is fine — that is how QueryEngine
-/// pins a snapshot). What must
+/// Results of SnapshotStore::Acquire() / CurrentSnapshot() may only live
+/// as shared_ptr snapshot locals (storing the shared_ptr in a member is
+/// fine — that is how QueryEngine pins a snapshot). What must
 /// not happen: taking `.get()` on the temporary, storing a raw snapshot
 /// pointer into a member (trailing-underscore target) or a static, or
 /// letting a raw pointer cross a pool-dispatch boundary — the pointer
@@ -520,8 +517,7 @@ void CheckSnapshotLifetime(const LexedFile& f, std::vector<Finding>* out) {
   const std::string& code = f.code;
 
   std::set<std::string> snap_vars;
-  for (const char* acc :
-       {"Acquire", "CurrentSnapshot", "CurrentShardedSnapshot"}) {
+  for (const char* acc : {"Acquire", "CurrentSnapshot"}) {
     std::size_t pos = 0;
     while ((pos = FindToken(code, pos, acc)) != kNpos) {
       const std::size_t at = pos;
@@ -1380,8 +1376,7 @@ void CheckSnapshotEscape(const LexedFile& f, const FileSymbols& syms,
   if (!StartsWith(f.path, "src/")) return;
   const std::string& code = f.code;
   if (code.find("Acquire") == kNpos &&
-      code.find("CurrentSnapshot") == kNpos &&
-      code.find("CurrentShardedSnapshot") == kNpos) {
+      code.find("CurrentSnapshot") == kNpos) {
     return;
   }
   const auto dispatch_spans = NamedDispatchSpans(code);
@@ -1421,8 +1416,7 @@ void CheckSnapshotEscape(const LexedFile& f, const FileSymbols& syms,
     return var;
   };
   auto is_acquire_expr = [&](std::size_t b, std::size_t e) {
-    for (const char* acc :
-         {"Acquire", "CurrentSnapshot", "CurrentShardedSnapshot"}) {
+    for (const char* acc : {"Acquire", "CurrentSnapshot"}) {
       std::size_t p = b;
       while ((p = FindToken(code, p, acc)) != kNpos && p < e) {
         const std::size_t open =
@@ -1460,8 +1454,7 @@ void CheckSnapshotEscape(const LexedFile& f, const FileSymbols& syms,
     const Symbol& sym = syms.symbols[si];
     if (sym.body_end <= sym.body_begin || si >= cfgs.size()) continue;
     bool has_acc = false;
-    for (const char* acc :
-         {"Acquire", "CurrentSnapshot", "CurrentShardedSnapshot"}) {
+    for (const char* acc : {"Acquire", "CurrentSnapshot"}) {
       const std::size_t p = FindToken(code, sym.body_begin, acc);
       if (p != kNpos && p < sym.body_end) {
         has_acc = true;

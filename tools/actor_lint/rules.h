@@ -53,7 +53,7 @@ inline constexpr char kRuleSnapshotEscape[] = "actor-snapshot-escape";
 /// analyzer binary hash) into the symbol/CFG caches so a cache written by
 /// an older analyzer invalidates wholesale instead of silently masking
 /// findings from newer rules under --changed-only.
-inline constexpr int kRuleSetVersion = 3;
+inline constexpr int kRuleSetVersion = 4;
 
 /// One analyzer finding. Formats as `file:line: [rule] message`. Findings
 /// for mechanical problems (stale NOLINT entries, redundant hogwild-region
