@@ -4,14 +4,12 @@
 // the streaming path's perf trajectory is tracked across PRs, alongside
 // BENCH_sgd.json for the batch trainer.
 //
-// Rows (one shard, the default): full-rebuild mode (the pre-port
-// behavior, via incremental_sampler=false), the incremental-sampler path,
-// and the sparse-stream pure-decay column (empty Ingest() ticks, where the
+// Rows: full-rebuild mode (the pre-port behavior, via
+// incremental_sampler=false), the incremental-sampler path, and the
+// sparse-stream pure-decay column (empty Ingest() ticks, where the
 // version-stamped sampler cache skips the rebuild of every edge store
-// whose decay dropped no edge). A "sharding" section repeats the
-// steady-state ingest at 1/2/4 shards, one worker per shard. See
-// EXPERIMENTS.md for the machine-drift caveat and docs/sharding.md for
-// what the shard rows measure before comparing against committed numbers.
+// whose decay dropped no edge). See EXPERIMENTS.md for the machine-drift
+// caveat before comparing against committed numbers.
 //
 // Usage: online_throughput [--records=12000] [--batches=12] [--dim=32]
 //                          [--pure_decay_ticks=6] [--out=BENCH_online.json]
@@ -27,7 +25,6 @@
 #include "data/synthetic.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "util/vec_math.h"
 
 namespace actor {
@@ -127,59 +124,6 @@ OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int ticks) {
   return row;
 }
 
-struct ShardRow {
-  int shards = 1;
-  double batches_per_sec = 0.0;
-  double records_per_sec = 0.0;
-};
-
-/// The sharding section: steady-state ingest at S shards, one worker per
-/// shard on a persistent pool. The column prices partitioning, the
-/// remote-tile refresh and the per-edge-type epoch dispatch against the
-/// parallel epochs (docs/sharding.md has the measured reading).
-ShardRow MeasureShardedIngest(const Workload& work, int32_t dim,
-                              int shards) {
-  ShardRow row;
-  row.shards = shards;
-
-  ThreadPool pool(shards);
-  OnlineActorOptions options;
-  options.dim = dim;
-  options.decay_per_batch = 0.7;
-  options.samples_per_edge_per_batch = 3.0;
-  options.num_shards = shards;
-  options.num_threads = shards;
-  options.pool = shards > 1 ? &pool : nullptr;
-  auto model = OnlineActor::Create(options);
-  if (!model.ok()) {
-    std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
-  }
-  const int batches = static_cast<int>(work.stream.size());
-  const int warm = batches / 3;
-  std::size_t timed_records = 0;
-  for (int i = 0; i < warm; ++i) {
-    if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
-    }
-  }
-  Stopwatch timer;
-  for (int i = warm; i < batches; ++i) {
-    if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
-    }
-    timed_records += work.stream[i].size();
-  }
-  const double secs = timer.ElapsedSeconds();
-  if (secs > 0.0) {
-    row.batches_per_sec = static_cast<double>(batches - warm) / secs;
-    row.records_per_sec = static_cast<double>(timed_records) / secs;
-  }
-  return row;
-}
-
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int records = static_cast<int>(flags.GetInt("records", 12000));
@@ -239,14 +183,6 @@ int Main(int argc, char** argv) {
                 row.records_per_sec);
   }
 
-  std::vector<ShardRow> shard_rows;
-  for (int shards : {1, 2, 4}) {
-    shard_rows.push_back(MeasureShardedIngest(work, dim, shards));
-    const ShardRow& row = shard_rows.back();
-    std::printf("sharded ingest shards=%d  %.3f batches/s  %.1f records/s\n",
-                row.shards, row.batches_per_sec, row.records_per_sec);
-  }
-
   auto find = [&rows](const std::string& sampler) {
     for (const auto& r : rows) {
       if (r.sampler == sampler) return r.batches_per_sec;
@@ -281,17 +217,6 @@ int Main(int argc, char** argv) {
                   "\"batches_per_sec\": %.3f, \"records_per_sec\": %.1f}%s\n",
                   rows[i].sampler.c_str(), rows[i].batches_per_sec,
                   rows[i].records_per_sec, i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
-  out << "  \"sharding\": [\n";
-  for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"shards\": %d, \"batches_per_sec\": %.3f, "
-                  "\"records_per_sec\": %.1f}%s\n",
-                  shard_rows[i].shards, shard_rows[i].batches_per_sec,
-                  shard_rows[i].records_per_sec,
-                  i + 1 < shard_rows.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n";

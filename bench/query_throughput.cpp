@@ -16,15 +16,9 @@
 // See EXPERIMENTS.md for the machine-drift caveat before comparing
 // against committed numbers.
 //
-// `--shard-smoke` skips the timed sections entirely and instead trains a
-// 2-shard model, delta-publishing after every batch, and self-checks that
-// the published snapshot answers every probe query bit-identically to a
-// snapshot built from GatherCenter() — exiting nonzero on any mismatch.
-// CI runs this in the default build-test job as the sharded publish smoke.
-//
 // Usage: query_throughput [--records=12000] [--batches=12] [--dim=32]
 //                         [--k=10] [--queries=4000]
-//                         [--out=BENCH_query.json] [--shard-smoke]
+//                         [--out=BENCH_query.json]
 
 #include <algorithm>
 #include <atomic>
@@ -249,114 +243,8 @@ std::vector<PublishRow> MeasurePublishCost(const OnlineActor& model) {
   return rows;
 }
 
-/// The --shard-smoke mode: trains a small 2-shard model, delta-publishing
-/// after every batch (each dirty chunk gathered from its owning shards),
-/// and checks the published snapshot against a full snapshot of
-/// GatherCenter() across the probe mix. Any mismatch (unit, similarity
-/// bits, order, or error status) is a failure. Returns the process exit
-/// code.
-int RunShardSmoke() {
-  std::printf("shard smoke: training 2-shard model...\n");
-  SyntheticConfig config;
-  config.seed = 301;
-  config.num_records = 2400;
-  config.num_users = 120;
-  config.num_topics = 8;
-  config.num_venues = 24;
-  config.num_communities = 4;
-  auto ds = GenerateSynthetic(config, "shard-smoke");
-  if (!ds.ok()) {
-    std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
-    return 1;
-  }
-  CorpusBuildOptions build;
-  auto corpus = TokenizedCorpus::Build(ds->corpus, build);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<std::vector<TokenizedRecord>> stream(3);
-  for (std::size_t i = 0; i < corpus->size(); ++i) {
-    stream[i * stream.size() / corpus->size()].push_back(corpus->record(i));
-  }
-
-  OnlineActorOptions options;
-  options.dim = 16;
-  options.samples_per_edge_per_batch = 2.0;
-  options.num_shards = 2;
-  auto model = OnlineActor::Create(options);
-  if (!model.ok()) {
-    std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const ModelSnapshot> published;
-  for (const auto& batch : stream) {
-    if (auto st = model->Ingest(batch); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    published = model->PublishSnapshot();
-  }
-  if (published == nullptr) {
-    std::fprintf(stderr, "shard smoke: publish failed\n");
-    return 1;
-  }
-  const auto gathered = ModelSnapshot::FromOnline(
-      ChunkedMatrix::FullCopy(model->GatherCenter()), model->catalog(),
-      published->version());
-  if (gathered->num_units() != published->num_units()) {
-    std::fprintf(stderr, "shard smoke: snapshot unit count mismatch\n");
-    return 1;
-  }
-  QueryEngine want_engine(gathered);
-  QueryEngine got_engine(published);
-
-  const GeoPoint probe = stream[0].front().location;
-  int checked = 0;
-  for (const VertexType type :
-       {VertexType::kWord, VertexType::kLocation, VertexType::kTime,
-        VertexType::kUser}) {
-    for (const int k : {1, 5, 50}) {
-      const auto a = want_engine.QueryByLocation(probe, type, k);
-      const auto b = got_engine.QueryByLocation(probe, type, k);
-      const auto c = want_engine.QueryByHour(12.5, type, k);
-      const auto d = got_engine.QueryByHour(12.5, type, k);
-      const Result<std::vector<Neighbor>>* pairs[][2] = {{&a, &b},
-                                                         {&c, &d}};
-      for (const auto& pair : pairs) {
-        const auto& want = *pair[0];
-        const auto& got = *pair[1];
-        if (want.ok() != got.ok()) {
-          std::fprintf(stderr, "shard smoke: status mismatch\n");
-          return 1;
-        }
-        if (!want.ok()) continue;
-        if (want->size() != got->size()) {
-          std::fprintf(stderr, "shard smoke: result size mismatch\n");
-          return 1;
-        }
-        for (std::size_t i = 0; i < want->size(); ++i) {
-          if ((*want)[i].vertex != (*got)[i].vertex ||
-              (*want)[i].similarity != (*got)[i].similarity) {
-            std::fprintf(stderr,
-                         "shard smoke: rank %zu mismatch (type=%d k=%d)\n",
-                         i, static_cast<int>(type), k);
-            return 1;
-          }
-        }
-        ++checked;
-      }
-    }
-  }
-  std::printf("shard smoke: OK (%d query results bit-identical at 2 "
-              "shards)\n",
-              checked);
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (flags.GetBool("shard-smoke", false)) return RunShardSmoke();
   const int records = static_cast<int>(flags.GetInt("records", 12000));
   const int batches = static_cast<int>(flags.GetInt("batches", 12));
   const int32_t dim = static_cast<int32_t>(flags.GetInt("dim", 32));

@@ -15,7 +15,6 @@ sections and their metrics (see docs/benchmarking.md for every schema):
   latency       p50_ms, p95_ms, p99_ms, p999_ms           (lower is better)
                 achieved_qps                              (higher is better)
   max_qps       max_sustainable_qps                       (higher is better)
-  sharding      batches_per_sec, records_per_sec         (higher is better)
 
 Rows are matched across the two files by their identity fields; every
 known metric present in BOTH files is compared, and changes in the bad
@@ -76,10 +75,6 @@ SECTIONS = {
     },
     "max_qps": {
         "max_sustainable_qps": "higher",
-    },
-    "sharding": {
-        "batches_per_sec": "higher",
-        "records_per_sec": "higher",
     },
 }
 

@@ -124,25 +124,11 @@ void TrainRecordBagOfWords(const RecordUnits& units,
                            EmbeddingMatrix* center, EmbeddingMatrix* context,
                            std::vector<float>* comp_buf,
                            std::vector<float>* grad_buf,
-                           std::vector<float>* grad2_buf,
-                           DirtyRowSet* dirty) {
+                           std::vector<float>* grad2_buf) {
   const std::size_t dim = static_cast<std::size_t>(center->dim());
   const auto& words = units.word_units;
-  // Dirty tracking for the delta publish path: every row this record step
-  // mutates — its units' center rows, positive context rows (the same
-  // unit ids), and every negative draw — lands in the shard-local set
-  // `dirty` points at (merged at the batch barrier, R4 discipline).
-  if (dirty != nullptr) {
-    dirty->Mark(units.time_unit);
-    dirty->Mark(units.location_unit);
-    for (VertexId w : words) dirty->Mark(w);
-  }
-  auto neg = [&noise, dirty](EdgeType e, VertexType t) {
-    return [&noise, dirty, e, t](Rng& r) {
-      const VertexId n = noise.Sample(e, t, r);
-      if (dirty != nullptr && n != kInvalidVertex) dirty->Mark(n);
-      return n;
-    };
+  auto neg = [&noise](EdgeType e, VertexType t) {
+    return [&noise, e, t](Rng& r) { return noise.Sample(e, t, r); };
   };
 
   // T-L pair (both orientations).
@@ -237,11 +223,6 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   Rng rng(options.seed);
   model.center.InitUniform(rng);
   model.context.InitZero();
-  // A freshly initialized model is fully dirty relative to any previous
-  // snapshot; the per-batch tracking below only matters for callers that
-  // Clear() and keep training after this run.
-  model.dirty.Resize(g.num_vertices());
-  model.dirty.MarkAll();
 
   // One persistent worker pool for the whole run — LINE pre-training, the
   // edge-sampling trainer, and the record loop all share it, so thread
@@ -291,7 +272,6 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   train_opts.num_threads = options.num_threads;
   train_opts.pool = pool;
   train_opts.seed = options.seed + 1;
-  train_opts.dirty_rows = &model.dirty;
   EdgeSamplingTrainer trainer(&g, &model.center, &model.context, &noise,
                               train_opts);
   ACTOR_RETURN_NOT_OK(trainer.Prepare());
@@ -325,9 +305,6 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
           : 0;
 
   const SigmoidTable sigmoid;
-  // Per-shard dirty scratch for the record loop, reused across epochs.
-  std::vector<DirtyRowSet> record_dirty(pool == nullptr ? 0
-                                                        : pool->num_threads());
   // Per-shard gradient scratch for the record loop, allocated at the
   // dispatch boundary: the record shard body runs on the hot path and
   // must not allocate.
@@ -368,8 +345,7 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
       // train through the record-level bag-of-words model. The analyzer
       // derives the HOGWILD scope from the ShardedRange dispatch below;
       // the shard body uses only the caller-owned per-shard scratch.
-      auto run_records = [&](int64_t count, uint64_t seed, DirtyRowSet* dirty,
-                             int t) {
+      auto run_records = [&](int64_t count, uint64_t seed, int t) {
         Rng shard_rng(seed);
         for (int64_t i = 0; i < count; ++i) {
           const auto& units =
@@ -379,28 +355,20 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
                                 &model.center, &model.context,
                                 &rec_comp[static_cast<std::size_t>(t)],
                                 &rec_grad[static_cast<std::size_t>(t)],
-                                &rec_grad2[static_cast<std::size_t>(t)],
-                                dirty);
+                                &rec_grad2[static_cast<std::size_t>(t)]);
         }
       };
       const uint64_t record_step = 1000 + static_cast<uint64_t>(epoch);
       if (pool == nullptr) {
         run_records(records_per_epoch, ShardSeed(options.seed, record_step, 0),
-                    &model.dirty, 0);
+                    0);
       } else {
-        for (auto& s : record_dirty) {
-          s.Resize(g.num_vertices());
-          s.Clear();
-        }
         pool->ShardedRange(
             0, static_cast<std::size_t>(records_per_epoch),
             [&](int t, std::size_t lo, std::size_t hi) {
               run_records(static_cast<int64_t>(hi - lo),
-                          ShardSeed(options.seed, record_step, t),
-                          &record_dirty[static_cast<std::size_t>(t)], t);
+                          ShardSeed(options.seed, record_step, t), t);
             });
-        // Batch barrier: fold the shard-local sets into the model's.
-        for (const auto& s : record_dirty) model.dirty.MergeFrom(s);
       }
       model.stats.record_steps += records_per_epoch;
     }
@@ -412,13 +380,12 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
 std::shared_ptr<const ModelSnapshot> PublishActorModel(
     const ActorModel& model, std::shared_ptr<const BuiltGraphs> graphs,
     std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab, const ModelSnapshot* prev) {
+    std::shared_ptr<const Vocabulary> vocab) {
   const uint64_t version = static_cast<uint64_t>(model.stats.edge_steps) +
                            static_cast<uint64_t>(model.stats.record_steps);
   return ModelSnapshot::FromBatch(model.center, &model.context,
                                   std::move(graphs), std::move(hotspots),
-                                  std::move(vocab), version, prev,
-                                  prev == nullptr ? nullptr : &model.dirty);
+                                  std::move(vocab), version);
 }
 
 }  // namespace actor

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "embedding/dirty_rows.h"
 #include "embedding/embedding_matrix.h"
 #include "embedding/line.h"
 #include "graph/graph_builder.h"
@@ -85,13 +84,6 @@ struct ActorModel {
   EmbeddingMatrix center;
   EmbeddingMatrix context;
   ActorStats stats;
-  /// Rows (center and context, one union set) mutated since the last
-  /// publish. TrainActor leaves every row marked (a fresh model is fully
-  /// dirty); callers that keep training through EdgeSamplingTrainer with
-  /// TrainOptions::dirty_rows = &dirty and re-publish with
-  /// PublishActorModel(..., prev) get delta publishes — Clear() it after
-  /// each publish (docs/serving.md).
-  DirtyRowSet dirty;
 };
 
 /// Trains ACTOR on built graphs (Algorithm 1, lines 3-12; hotspot
@@ -109,16 +101,10 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
 /// analogue of the OnlineEdgeStore::version() scheme. Callers going
 /// through the eval pipeline usually use PreparedDataset::Snapshot()
 /// instead, which fills the shared structures in.
-///
-/// With `prev` (a snapshot previously published from the same model), the
-/// copy is a delta publish: only chunks containing rows marked in
-/// model.dirty are copied, the rest are shared with `prev`. The caller
-/// clears model.dirty after a successful publish.
 std::shared_ptr<const ModelSnapshot> PublishActorModel(
     const ActorModel& model, std::shared_ptr<const BuiltGraphs> graphs,
     std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab = nullptr,
-    const ModelSnapshot* prev = nullptr);
+    std::shared_ptr<const Vocabulary> vocab = nullptr);
 
 }  // namespace actor
 

@@ -6,7 +6,6 @@
 
 #include "embedding/sgd.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace actor {
 
@@ -23,66 +22,30 @@ Result<OnlineActor> OnlineActor::Create(OnlineActorOptions options) {
   if (options.min_edge_weight <= 0.0) {
     return Status::InvalidArgument("min_edge_weight must be > 0");
   }
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  OnlineActor model(options);
-  model.shards_ = options.num_shards;
-  model.partitioner_ = VertexPartitioner(model.shards_);
-  model.map_ = ShardMap(model.shards_);
-  model.center_ = ShardedEmbeddingMatrix(model.shards_, options.dim);
-  model.context_ = ShardedEmbeddingMatrix(model.shards_, options.dim);
-  for (auto& store : model.edges_) {
-    store.Reset(model.shards_, options.min_edge_weight);
-  }
-  for (auto& caches : model.samplers_) {
-    caches.resize(static_cast<std::size_t>(model.shards_));
-  }
-  model.owned_dirty_.resize(static_cast<std::size_t>(model.shards_));
-  model.tiles_.resize(static_cast<std::size_t>(model.shards_));
-  for (auto& tiles : model.tiles_) tiles.SetDim(options.dim);
-  // Same pool contract as EdgeSamplingTrainer: num_threads <= 1 ignores
-  // any provided pool entirely; num_threads > 1 borrows the caller's
-  // persistent pool or owns a private one. The pool
-  // dispatches whole per-shard epochs, so it is only worth having with
-  // more than one shard, and the result never depends on it.
-  if (options.num_threads > 1 && model.shards_ > 1) {
-    if (options.pool != nullptr) {
-      model.pool_ = options.pool;
-    } else {
-      model.owned_pool_ = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(options.num_threads));
-      model.pool_ = model.owned_pool_.get();
-    }
-  }
-  return model;
+  return OnlineActor(options);
 }
 
-// Out-of-line: owned_pool_ holds a forward-declared ThreadPool.
 OnlineActor::OnlineActor(OnlineActorOptions options)
     : options_(options),
       rng_(options.seed),
-      snapshots_(std::make_unique<SnapshotStore>()) {}
-OnlineActor::~OnlineActor() = default;
-OnlineActor::OnlineActor(OnlineActor&&) noexcept = default;
-OnlineActor& OnlineActor::operator=(OnlineActor&&) noexcept = default;
+      center_(0, options.dim),
+      context_(0, options.dim),
+      snapshots_(std::make_unique<SnapshotStore>()) {
+  for (OnlineEdgeStore& store : edges_) {
+    store.set_min_weight(options.min_edge_weight);
+  }
+}
 
 VertexId OnlineActor::AddUnit(VertexType type, std::string name) {
   const VertexId id = num_units();
   catalog_.types.push_back(type);
   catalog_.names.push_back(std::move(name));
-  const int owner = partitioner_.Assign(id);
-  const int32_t local = map_.AddVertex(id, owner);
-  // Row init consumes rng_ in global-id order regardless of owner, so the
-  // initial vectors are identical across shard counts.
-  center_.AppendRow(owner, &rng_);
-  context_.AppendRow(owner, nullptr);
+  center_.AppendRows(1, &rng_);
+  context_.AppendRows(1, nullptr);
   // A new unit's row is dirty by definition: no previous snapshot chunk
-  // can cover it. AddUnit runs on the ingest thread, outside any epoch, so
-  // marking the owner's set directly is safe.
-  DirtyRowSet& dirty = owned_dirty_[static_cast<std::size_t>(owner)];
-  dirty.Resize(local + 1);
-  dirty.Mark(local);
+  // can cover it.
+  dirty_.Resize(id + 1);
+  dirty_.Mark(id);
   return id;
 }
 
@@ -142,9 +105,7 @@ void OnlineActor::AccumulateEdge(VertexId a, VertexId b) {
   if (a == b || a == kInvalidVertex || b == kInvalidVertex) return;
   auto type = EdgeTypeBetween(catalog_.types[a], catalog_.types[b]);
   if (!type.ok()) return;
-  // Local-write replication: the edge lands in every distinct owner's
-  // replica store (one store when both endpoints share a shard).
-  edges_[static_cast<int>(*type)].Accumulate(a, b, map_);
+  edges_[static_cast<int>(*type)].Accumulate(a, b);
 }
 
 void OnlineActor::DecayEdges() {
@@ -154,11 +115,25 @@ void OnlineActor::DecayEdges() {
 
 std::size_t OnlineActor::num_live_edges() const {
   std::size_t total = 0;
-  for (const auto& store : edges_) total += store.SizeUnique(map_);
+  for (const auto& store : edges_) total += store.size();
   return total;
 }
 
 Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
+  // Validate the whole batch first, so a rejected one leaves the model as
+  // it was. A non-finite timestamp has no hour of day, and a non-finite
+  // location is farther than the spawn radius from every hotspot, so each
+  // such record would spawn a new unit.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TokenizedRecord& rec = batch[i];
+    if (!std::isfinite(rec.timestamp) || !std::isfinite(rec.location.x) ||
+        !std::isfinite(rec.location.y)) {
+      return Status::InvalidArgument(
+          StrPrintf("record %zu of the batch has a non-finite timestamp or "
+                    "location",
+                    i));
+    }
+  }
   // Recency decay happens before the new co-occurrences arrive, so the
   // newest batch always carries full weight. An empty batch is a valid
   // pure-decay tick (sparse-stream mode): a time slice passed with no
@@ -205,9 +180,9 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
   return TrainBatch();
 }
 
-Status OnlineActor::RefreshSamplers(int e, int s) {
-  OnlineEdgeStore& store = edges_[e].shard(s);
-  SamplerCache& cache = samplers_[e][static_cast<std::size_t>(s)];
+Status OnlineActor::RefreshSamplers(int e) {
+  const OnlineEdgeStore& store = edges_[e];
+  SamplerCache& cache = samplers_[e];
   if (!options_.incremental_sampler) {
     // A/B lever: reconstruct from scratch every batch, releasing storage,
     // as the pre-port implementation did.
@@ -227,13 +202,8 @@ Status OnlineActor::RefreshSamplers(int e, int s) {
     noise.valid = false;
   }
   for (const auto& [v, d] : store.raw_degrees()) {
-    // Negative draws must resolve to writable rows, so noise candidates
-    // are restricted to shard-owned vertices (every vertex at one shard)
-    // and stored as their local rows.
-    const ShardMap::Slot& slot = map_.slot(v);
-    if (slot.owner != s) continue;
     NoiseTable& noise = cache.noise[static_cast<int>(catalog_.types[v])];
-    noise.candidates.push_back(slot.local);
+    noise.candidates.push_back(v);
     noise.weights.push_back(std::pow(d, 0.75));
   }
   for (auto& noise : cache.noise) {
@@ -247,88 +217,34 @@ Status OnlineActor::RefreshSamplers(int e, int s) {
 }
 
 Status OnlineActor::TrainBatch() {
-  // Batch barrier, part 1: every shard gets a fresh read-snapshot of the
-  // context rows of remote vertices its edges touch.
-  RefreshRemoteTiles();
-  const std::size_t dim = static_cast<std::size_t>(options_.dim);
-  std::vector<int64_t> samples(static_cast<std::size_t>(shards_), 0);
-  // Per-shard gradient scratch, allocated at the dispatch boundary: the
-  // epoch bodies themselves are allocation-free (hot-path rule).
-  std::vector<float> shard_grad(static_cast<std::size_t>(shards_) * dim);
+  // Gradient scratch, allocated here so the epoch body is allocation-free.
+  std::vector<float> grad(static_cast<std::size_t>(options_.dim));
   for (int e = 0; e < kNumEdgeTypes; ++e) {
-    if (edges_[e].empty()) continue;
-    // Sampler refresh + budget sizing happen on the ingest thread (may
-    // allocate). Both directions of every undirected edge carry the
-    // per-edge budget; each shard's budget is that formula over its own
-    // replica store, so a cross-shard edge — present in both owners'
-    // stores but trained only in its locally-centered orientation by each —
-    // receives the same 2x-per-edge budget in total, split by ownership
-    // (docs/sharding.md).
-    int64_t total = 0;
-    for (int s = 0; s < shards_; ++s) {
-      const OnlineEdgeStore& store = edges_[e].shard(s);
-      if (store.empty()) {
-        samples[static_cast<std::size_t>(s)] = 0;
-        continue;
-      }
-      ACTOR_RETURN_NOT_OK(RefreshSamplers(e, s));
-      const auto n = static_cast<int64_t>(
-          options_.samples_per_edge_per_batch * 2.0 *
-          static_cast<double>(store.size()));
-      samples[static_cast<std::size_t>(s)] = n;
-      total += n;
-    }
-    if (total <= 0) continue;
-    const uint64_t step = train_steps_;
-    float* const grad_base = shard_grad.data();
-    const int64_t* const samples_base = samples.data();
-    // One epoch per shard: each epoch writes only shard-owned rows and its
-    // own dirty set, so the epochs are mutually write-isolated and the
-    // result is bit-identical whether they run sequentially or on the
-    // pool — training is deterministic at ANY thread count.
-    if (pool_ == nullptr) {
-      for (std::size_t s = 0; s < samples.size(); ++s) {
-        if (samples[s] <= 0) continue;
-        TrainShardEpoch(e, static_cast<int>(s), samples[s],
-                        ShardSeed(options_.seed, step, s), &owned_dirty_[s],
-                        grad_base + s * dim);
-      }
-    } else {
-      pool_->ParallelFor(
-          0, static_cast<std::size_t>(shards_),
-          [this, e, step, grad_base, samples_base, dim](std::size_t s) {
-            if (samples_base[s] <= 0) return;
-            TrainShardEpoch(e, static_cast<int>(s), samples_base[s],
-                            ShardSeed(options_.seed, step, s),
-                            &owned_dirty_[s], grad_base + s * dim);
-          });
-    }
-    train_steps_ += static_cast<uint64_t>(total);
+    const OnlineEdgeStore& store = edges_[e];
+    if (store.empty()) continue;
+    // Sampler refresh and budget sizing (may allocate). Both directions of
+    // every undirected edge carry the per-edge budget.
+    ACTOR_RETURN_NOT_OK(RefreshSamplers(e));
+    const auto n = static_cast<int64_t>(options_.samples_per_edge_per_batch *
+                                        2.0 * static_cast<double>(store.size()));
+    if (n <= 0) continue;
+    TrainEpoch(e, n, ShardSeed(options_.seed, train_steps_, 0), grad.data());
+    train_steps_ += static_cast<uint64_t>(n);
   }
   ACTOR_DCHECK(center_.DebugValidate());
   ACTOR_DCHECK(context_.DebugValidate());
   return Status::OK();
 }
 
-// May run concurrently with the other shards' epochs (ParallelFor
-// dispatch), but every write lands in shard-s-owned state: center/context
-// rows of owned vertices, the private remote-tile copies, and this shard's
-// own dirty set. Shared row access still goes through the kernel API, and
-// the body is allocation-free — `grad` scratch is owned by the dispatch
-// site.
-void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
-                                  uint64_t seed, DirtyRowSet* dirty,
-                                  float* grad) {
+void OnlineActor::TrainEpoch(int e, int64_t num_samples, uint64_t seed,
+                             float* grad) {
   Rng rng(seed);
-  const OnlineEdgeStore& store = edges_[e].shard(s);
-  const SamplerCache& cache = samplers_[e][static_cast<std::size_t>(s)];
-  EmbeddingMatrix& center = center_.shard(s);
-  EmbeddingMatrix& context = context_.shard(s);
-  RemoteTileCache& tiles = tiles_[static_cast<std::size_t>(s)];
+  const OnlineEdgeStore& store = edges_[e];
+  const SamplerCache& cache = samplers_[e];
   // Decayed-weight / alias-mass consistency: the sampler must describe
   // exactly the live edge set, or draws would index dropped slots.
   ACTOR_DCHECK(cache.built && cache.edge_table.size() == store.size())
-      << "sampler for edge type " << e << " shard " << s << " covers "
+      << "sampler for edge type " << e << " covers "
       << cache.edge_table.size() << " edges, store holds " << store.size();
   const std::vector<VertexId>& src = store.src();
   const std::vector<VertexId>& dst = store.dst();
@@ -336,26 +252,15 @@ void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
   const std::size_t dim = static_cast<std::size_t>(options_.dim);
   const float lr = options_.learning_rate;
 
-  // At one shard the ownership map is the identity: every vertex is owned
-  // and its local row is its id, so routing skips the map.
-  const bool flat = shards_ == 1;
-
   // Block-wise sampling with software prefetch, as in
   // EdgeSamplingTrainer::TrainShard: the random center/context row
   // accesses of block i overlap the alias draws of block i+1. Each draw
-  // picks an undirected edge and an orientation (the RNG low bit); the
-  // prefetch pass also resolves its routing once — `lu` is the center's
-  // local row, or -1 when another shard owns the center (the co-owner
-  // trains that orientation from its replica); `lv` is the positive
-  // context's local row, or -1 for a remote vertex, whose row is the
-  // private tile copy (freshness contract in docs/sharding.md). Routing
-  // consumes no RNG, so shards stay stream-aligned.
+  // picks an undirected edge and an orientation (the RNG low bit).
   struct Step {
     float* center;
     float* context;
+    VertexId u;
     VertexId v;
-    int32_t lu;
-    int32_t lv;
   };
   constexpr int64_t kBlock = 64;
   std::array<Step, kBlock> steps;
@@ -364,68 +269,33 @@ void OnlineActor::TrainShardEpoch(int e, int s, int64_t num_samples,
     for (int64_t i = 0; i < block; ++i) {
       const std::size_t idx = cache.edge_table.Sample(rng);
       const bool flip = (rng.Next() & 1) != 0;
-      const VertexId u = flip ? dst[idx] : src[idx];
-      const VertexId v = flip ? src[idx] : dst[idx];
       Step& step = steps[static_cast<std::size_t>(i)];
-      step.v = v;
-      step.lu = u;
-      step.lv = v;
-      if (!flat) {
-        const ShardMap::Slot& su = map_.slot(u);
-        if (su.owner != s) {
-          step.lu = -1;
-          continue;
-        }
-        const ShardMap::Slot& sv = map_.slot(v);
-        step.lu = su.local;
-        step.lv = sv.owner == s ? sv.local : -1;
-      }
-      step.center = center.row(step.lu);
-      step.context = step.lv >= 0 ? context.row(step.lv) : tiles.row(v);
+      step.u = flip ? dst[idx] : src[idx];
+      step.v = flip ? src[idx] : dst[idx];
+      step.center = center_.row(step.u);
+      step.context = context_.row(step.v);
       PrefetchRow(step.center, dim);
       PrefetchRow(step.context, dim);
     }
     for (int64_t i = 0; i < block; ++i) {
       const Step& step = steps[static_cast<std::size_t>(i)];
-      if (step.lu < 0) continue;
       const NoiseTable& noise = cache.noise[static_cast<int>(types[step.v])];
       if (!noise.valid) continue;
       Zero(grad, dim);
-      // Negatives are owned local rows; a remote positive (lv = -1) can
-      // never equal one, so the positive-collision skip stays exact.
-      // Dirty tracking marks the rows this step mutates — center, owned
-      // positive context and every negative — into this shard's own set.
-      NegativeSamplingUpdateRows(
-          step.center, step.lv, step.context, dim, options_.negatives, lr,
-          sigmoid_, rng,
-          [&noise, dirty](Rng& r) {
-            const int32_t n = noise.candidates[noise.table.Sample(r)];
-            dirty->Mark(n);
-            return n;
-          },
-          [&context](int32_t x) { return context.row(x); }, grad);
+      // Dirty tracking marks the rows this step mutates: the center, the
+      // positive context and every negative.
+      NegativeSamplingUpdate(step.center, step.v, options_.negatives, lr,
+                             &context_, sigmoid_, rng,
+                             [this, &noise](Rng& r) {
+                               const VertexId n =
+                                   noise.candidates[noise.table.Sample(r)];
+                               dirty_.Mark(n);
+                               return n;
+                             },
+                             grad);
       Add(grad, step.center, dim);
-      dirty->Mark(step.lu);
-      if (step.lv >= 0) dirty->Mark(step.lv);
-    }
-  }
-}
-
-void OnlineActor::RefreshRemoteTiles() {
-  if (shards_ == 1) return;  // no remote vertices exist
-  for (int s = 0; s < shards_; ++s) {
-    RemoteTileCache& tiles = tiles_[static_cast<std::size_t>(s)];
-    for (int e = 0; e < kNumEdgeTypes; ++e) {
-      const OnlineEdgeStore& store = edges_[e].shard(s);
-      const std::vector<VertexId>& src = store.src();
-      const std::vector<VertexId>& dst = store.dst();
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        for (const VertexId v : {src[i], dst[i]}) {
-          const int owner = map_.owner(v);
-          if (owner == s) continue;
-          tiles.Put(v, context_.shard(owner).row(map_.local_row(v)));
-        }
-      }
+      dirty_.Mark(step.u);
+      dirty_.Mark(step.v);
     }
   }
 }
@@ -447,8 +317,7 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
   // version() bumps on every accumulate/drop, and the batch count covers
   // pure-decay ticks that drop no edge (and so bump no store). The sum
   // is monotone across Ingest() calls, so snapshot versions totally order
-  // the published model states. (ShardedEdgeStore::version() sums its
-  // replicas, which at one shard reduces to the flat scheme exactly.)
+  // the published model states.
   uint64_t version = static_cast<uint64_t>(batches_);
   for (const auto& store : edges_) version += store.version();
 
@@ -460,25 +329,9 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
     return prev;
   }
   const bool delta = options_.delta_publish && prev != nullptr;
-  // The dirty rows in global ids. At one shard local rows are global ids,
-  // so shard 0's set is the global set; with more shards the per-shard
-  // sets are folded into one.
-  DirtyRowSet folded;
-  const DirtyRowSet* dirty = &owned_dirty_[0];
-  if (delta && shards_ > 1) {
-    folded.Resize(num_units());
-    for (int s = 0; s < shards_; ++s) {
-      owned_dirty_[static_cast<std::size_t>(s)].ForEachMarked(
-          [&](int32_t local) { folded.Mark(map_.global_id(s, local)); });
-    }
-    dirty = &folded;
-  }
-  // One copy routine at every shard count: each copied chunk gathers its
-  // rows from their owning shards (one memcpy per chunk at one shard).
-  ChunkedMatrix center = ChunkedMatrix::Copy(
-      num_units(), options_.dim, center_.shard(0).stride(),
-      [this](int32_t v) { return CenterRow(v); },
-      delta ? &prev->center() : nullptr, delta ? dirty : nullptr);
+  ChunkedMatrix center =
+      delta ? ChunkedMatrix::DeltaCopy(center_, prev->center(), dirty_)
+            : ChunkedMatrix::FullCopy(center_);
   // An unchanged unit count means no unit was added (the catalogue only
   // grows through AddUnit), so a delta publish shares the whole
   // catalogue state too.
@@ -487,8 +340,8 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
           ? prev->WithCenter(std::move(center), version)
           : ModelSnapshot::FromOnline(std::move(center), catalog_, version);
   // The new snapshot is exact, so nothing is dirty relative to it — the
-  // next delta publish starts from clean sets.
-  for (DirtyRowSet& d : owned_dirty_) d.Clear();
+  // next delta publish starts from a clean set.
+  dirty_.Clear();
   snapshots_->Publish(snap);
   return snap;
 }
@@ -499,18 +352,18 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::CurrentSnapshot() const {
 
 double OnlineActor::ScoreRecordAgainstUnit(const TokenizedRecord& record,
                                            VertexId candidate) const {
-  if (candidate == kInvalidVertex) return -1e9;
+  if (candidate < 0 || candidate >= num_units()) return -1e9;
   const std::size_t dim = static_cast<std::size_t>(options_.dim);
   std::vector<float> query(dim, 0.0f);
   int parts = 0;
   const VertexId t = TemporalUnit(record.timestamp);
   if (t != kInvalidVertex && t != candidate) {
-    Add(CenterRow(t), query.data(), dim);
+    Add(center_.row(t), query.data(), dim);
     ++parts;
   }
   const VertexId l = SpatialUnit(record.location);
   if (l != kInvalidVertex && l != candidate) {
-    Add(CenterRow(l), query.data(), dim);
+    Add(center_.row(l), query.data(), dim);
     ++parts;
   }
   std::vector<float> text(dim, 0.0f);
@@ -518,7 +371,7 @@ double OnlineActor::ScoreRecordAgainstUnit(const TokenizedRecord& record,
   for (int32_t w : record.word_ids) {
     const VertexId v = WordUnit(w);
     if (v == kInvalidVertex || v == candidate) continue;
-    Add(CenterRow(v), text.data(), dim);
+    Add(center_.row(v), text.data(), dim);
     ++known;
   }
   if (known > 0) {
@@ -527,7 +380,7 @@ double OnlineActor::ScoreRecordAgainstUnit(const TokenizedRecord& record,
     ++parts;
   }
   if (parts == 0) return -1e9;
-  return Cosine(query.data(), CenterRow(candidate), dim);
+  return Cosine(query.data(), center_.row(candidate), dim);
 }
 
 }  // namespace actor

@@ -36,8 +36,7 @@ namespace actor {
 /// maintained incrementally under the same uniform-scale trick.
 ///
 /// Thread-compatibility: mutations are single-threaded (the ingest phase);
-/// during the sharded re-embed phase the store is read-only and safe to
-/// read from any number of worker threads.
+/// during the re-embed phase the store is read-only.
 class OnlineEdgeStore {
  public:
   OnlineEdgeStore() = default;

@@ -1,7 +1,6 @@
 #ifndef ACTOR_EMBEDDING_DIRTY_ROWS_H_
 #define ACTOR_EMBEDDING_DIRTY_ROWS_H_
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -15,12 +14,9 @@ namespace actor {
 /// shares the rest with the previous one, so Publish cost tracks the ingest
 /// batch instead of the model.
 ///
-/// Concurrency contract — the same HOGWILD shard discipline actor-lint R4
-/// polices for embedding rows: a DirtyRowSet is *not* thread-safe. Inside a
-/// training region each worker marks its own set (or the single merged set
-/// on the sequential path); per-worker sets are folded together at the
-/// batch barrier (MergeFrom() after ShardedRange()/Wait() returned) or at
-/// publish. Never mark a shared set from inside a hogwild region.
+/// Not thread-safe: OnlineActor marks its one set on the ingest thread,
+/// the thread that also publishes and clears it. actor-lint R4 flags a
+/// shared set marked from inside a hogwild region.
 class DirtyRowSet {
  public:
   DirtyRowSet() = default;
@@ -42,13 +38,6 @@ class DirtyRowSet {
         uint64_t{1} << (static_cast<std::size_t>(row) & 63);
   }
 
-  bool Test(int32_t row) const {
-    ACTOR_DCHECK(row >= 0 && row < rows_) << "row " << row << " of " << rows_;
-    return (bits_[static_cast<std::size_t>(row) >> 6] >>
-            (static_cast<std::size_t>(row) & 63)) &
-           1;
-  }
-
   void MarkAll() {
     for (auto& w : bits_) w = ~uint64_t{0};
   }
@@ -57,15 +46,6 @@ class DirtyRowSet {
   /// the new snapshot is exact, so nothing is dirty relative to it).
   void Clear() {
     for (auto& w : bits_) w = 0;
-  }
-
-  /// Folds a shard-local set into this one at the batch barrier. `other`
-  /// may cover fewer rows (it was sized before rows were appended).
-  void MergeFrom(const DirtyRowSet& other) {
-    ACTOR_DCHECK(other.rows_ <= rows_);
-    for (std::size_t i = 0; i < other.bits_.size(); ++i) {
-      bits_[i] |= other.bits_[i];
-    }
   }
 
   /// True when any row in [begin, end) is dirty. The chunk-COW copy asks
@@ -85,28 +65,6 @@ class DirtyRowSet {
       if (word != 0) return true;
     }
     return false;
-  }
-
-  /// Calls fn(row) for every dirty row, in increasing row order.
-  template <typename Fn>
-  void ForEachMarked(Fn&& fn) const {
-    for (std::size_t w = 0; w < bits_.size(); ++w) {
-      for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-        fn(static_cast<int32_t>(w * 64 + bit));
-      }
-    }
-  }
-
-  int32_t PopCount() const {
-    int32_t n = 0;
-    for (uint64_t w : bits_) {
-      while (w != 0) {
-        w &= w - 1;
-        ++n;
-      }
-    }
-    return n;
   }
 
  private:

@@ -99,8 +99,8 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   // Per-shard gradient scratch, allocated at the dispatch boundary: the
   // shard body runs on the hot path and must not allocate.
   const std::size_t dim = static_cast<std::size_t>(options.dim);
-  const std::size_t num_shards = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<float> shard_grad(num_shards * dim);
+  const std::size_t workers = pool == nullptr ? 1 : pool->num_threads();
+  std::vector<float> shard_grad(workers * dim);
   float* const grad_base = shard_grad.data();
   // The analyzer derives this lambda's HOGWILD scope from the ShardedRange
   // dispatch below (shared rows only through the fused kernels).

@@ -72,42 +72,24 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
     return Status::OK();  // nothing to train
   }
   const uint64_t step = static_cast<uint64_t>(steps_done_);
-  DirtyRowSet* merged = options_.dirty_rows;
   const std::size_t dim = static_cast<std::size_t>(center_->dim());
   if (pool_ == nullptr || pool_->num_threads() == 1) {
-    // Sequential path: no concurrent markers, so the merged set is written
-    // directly.
     std::vector<float> grad(dim);
-    TrainShard(e, num_samples, lr, ShardSeed(options_.seed, step, 0), merged,
+    TrainShard(e, num_samples, lr, ShardSeed(options_.seed, step, 0),
                grad.data());
   } else {
-    if (merged != nullptr) {
-      worker_dirty_.resize(pool_->num_threads());
-      for (auto& s : worker_dirty_) {
-        s.Resize(center_->rows());
-        s.Clear();
-      }
-    }
     // Per-shard gradient scratch, allocated at the dispatch boundary: the
     // shard bodies themselves are allocation-free (hot-path rule).
     std::vector<float> shard_grad(pool_->num_threads() * dim);
     float* const grad_base = shard_grad.data();
     pool_->ShardedRange(
         0, static_cast<std::size_t>(num_samples),
-        [this, e, lr, step, merged, grad_base, dim](int shard, std::size_t lo,
-                                                    std::size_t hi) {
+        [this, e, lr, step, grad_base, dim](int shard, std::size_t lo,
+                                            std::size_t hi) {
           TrainShard(e, static_cast<int64_t>(hi - lo), lr,
                      ShardSeed(options_.seed, step, shard),
-                     merged == nullptr
-                         ? nullptr
-                         : &worker_dirty_[static_cast<std::size_t>(shard)],
                      grad_base + static_cast<std::size_t>(shard) * dim);
         });
-    if (merged != nullptr) {
-      // Batch barrier: ShardedRange has returned, so the shard-local sets
-      // are safely published to this thread.
-      for (const auto& s : worker_dirty_) merged->MergeFrom(s);
-    }
   }
   steps_done_ += num_samples;
   // HOGWILD updates cannot be checked per-step without serializing the
@@ -123,8 +105,7 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
 // the kernel API or RelaxedLoad/RelaxedStore, and the body is
 // allocation-free — `grad` scratch is owned by the dispatch site.
 void EdgeSamplingTrainer::TrainShard(EdgeType e, int64_t num_samples,
-                                     float lr, uint64_t seed,
-                                     DirtyRowSet* dirty, float* grad) {
+                                     float lr, uint64_t seed, float* grad) {
   Rng rng(seed);
   const auto& edges = graph_->edges(e);
   const AliasTable& table = *edge_tables_[static_cast<int>(e)];
@@ -149,22 +130,13 @@ void EdgeSamplingTrainer::TrainShard(EdgeType e, int64_t num_samples,
       const VertexId v = edges.dst[idx];
       const VertexType ctx_type = graph_->vertex_type(v);
       Zero(grad, dim);
-      // Dirty tracking marks the rows this step mutates — u (center) and
-      // v plus every negative draw (context rows) — into the shard-local
-      // set, never a shared one (R4 discipline; merged at the barrier).
       NegativeSamplingUpdate(
           center_->row(u), v, options_.negatives, lr, context_, sigmoid_, rng,
-          [this, e, ctx_type, dirty](Rng& r) {
-            const VertexId n = negative_sampler_->Sample(e, ctx_type, r);
-            if (dirty != nullptr && n != kInvalidVertex) dirty->Mark(n);
-            return n;
+          [this, e, ctx_type](Rng& r) {
+            return negative_sampler_->Sample(e, ctx_type, r);
           },
           grad);
       Add(grad, center_->row(u), dim);  // Eq. (12)
-      if (dirty != nullptr) {
-        dirty->Mark(u);
-        dirty->Mark(v);
-      }
     }
   }
 }

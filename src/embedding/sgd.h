@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "embedding/dirty_rows.h"
 #include "embedding/embedding_matrix.h"
 #include "embedding/negative_sampler.h"
 #include "graph/alias_table.h"
@@ -34,15 +33,13 @@ inline uint64_t ShardSeed(uint64_t base, uint64_t step, uint64_t shard) {
 /// center vector against one positive context vertex plus `negatives`
 /// noise vertices.
 ///
-/// Performs the context-side updates of Eqs. (9)-(10) in place —
-/// `positive_ctx` is the positive vertex's context row, `context_row(v)`
-/// resolves each negative draw's — and *accumulates* the center-side
-/// gradient of Eq. (8) into `grad_out` (length dim, caller-zeroed) instead
-/// of applying it. This split lets one code path serve the plain per-edge
-/// update (apply grad_out to the single center row), the bag-of-words
-/// composite update of the intra-record meta-graph (footnote 4; apply
-/// grad_out to every member word row), and the sharded trainer (context
-/// rows resolved by vertex ownership).
+/// Performs the context-side updates of Eqs. (9)-(10) in place on
+/// `context` and *accumulates* the center-side gradient of Eq. (8) into
+/// `grad_out` (length dim, caller-zeroed) instead of applying it. This
+/// split lets one code path serve the plain per-edge update (apply
+/// grad_out to the single center row) and the bag-of-words composite
+/// update of the intra-record meta-graph (footnote 4; apply grad_out to
+/// every member word row).
 ///
 /// `sample_negative(rng)` returns a noise vertex id (or kInvalidVertex to
 /// skip one draw). Called from every trainer shard: context rows are
@@ -54,21 +51,20 @@ inline uint64_t ShardSeed(uint64_t base, uint64_t step, uint64_t shard) {
 /// kMaxStepRows rows when `negatives` is larger). Draws never read rows, so
 /// the RNG stream — and, by the kernel's contract, every updated bit — is
 /// the same as drawing and updating one negative at a time.
-template <typename NegativeFn, typename ContextRowFn>
-void NegativeSamplingUpdateRows(const float* center_vec, VertexId positive,
-                                float* positive_ctx, std::size_t dim,
-                                int negatives, float lr,
-                                const SigmoidTable& sigmoid, Rng& rng,
-                                NegativeFn&& sample_negative,
-                                ContextRowFn&& context_row, float* grad_out) {
+template <typename NegativeFn>
+void NegativeSamplingUpdate(const float* center_vec, VertexId positive,
+                            int negatives, float lr, EmbeddingMatrix* context,
+                            const SigmoidTable& sigmoid, Rng& rng,
+                            NegativeFn&& sample_negative, float* grad_out) {
+  const std::size_t dim = static_cast<std::size_t>(context->dim());
   std::array<float*, kMaxStepRows> rows{};
-  rows[0] = positive_ctx;  // label 1, Eqs. (8)+(9)
+  rows[0] = context->row(positive);  // label 1, Eqs. (8)+(9)
   std::size_t n = 1;
   bool first_positive = true;
   for (int k = 0; k < negatives; ++k) {
     const VertexId neg = sample_negative(rng);
     if (neg == kInvalidVertex || neg == positive) continue;
-    rows[n++] = context_row(neg);  // label 0, Eqs. (8)+(10)
+    rows[n++] = context->row(neg);  // label 0, Eqs. (8)+(10)
     if (n == kMaxStepRows) {
       NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
                            sigmoid, grad_out, dim);
@@ -80,24 +76,6 @@ void NegativeSamplingUpdateRows(const float* center_vec, VertexId positive,
     NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
                          sigmoid, grad_out, dim);
   }
-}
-
-/// The flat-matrix form: positive and negative context rows all resolve
-/// through one EmbeddingMatrix. Delegates to NegativeSamplingUpdateRows, so
-/// the sharded trainer — which resolves context rows through vertex
-/// ownership (owned shard rows vs the remote-tile cache) — shares the exact
-/// arithmetic and RNG-consumption order of this path (bit-identity at
-/// shards=1 follows structurally; see docs/sharding.md).
-template <typename NegativeFn>
-void NegativeSamplingUpdate(const float* center_vec, VertexId positive,
-                            int negatives, float lr, EmbeddingMatrix* context,
-                            const SigmoidTable& sigmoid, Rng& rng,
-                            NegativeFn&& sample_negative, float* grad_out) {
-  const std::size_t dim = static_cast<std::size_t>(context->dim());
-  NegativeSamplingUpdateRows(
-      center_vec, positive, context->row(positive), dim, negatives, lr,
-      sigmoid, rng, static_cast<NegativeFn&&>(sample_negative),
-      [context](VertexId v) { return context->row(v); }, grad_out);
 }
 
 /// Shared options for the edge-sampling trainers.
@@ -116,15 +94,6 @@ struct TrainOptions {
   /// num_threads, and num_threads <= 1 ignores the pool (sequential,
   /// bit-deterministic path).
   ThreadPool* pool = nullptr;
-
-  /// Dirty-row tracking for the delta publish path (docs/serving.md).
-  /// When non-null, every TrainEdgeType call records the rows it touched —
-  /// center rows, positive context rows, and negative draws, one union set
-  /// — into this caller-owned set: shard-local sets inside the HOGWILD
-  /// region, merged here at the batch barrier (after ShardedRange
-  /// returns). Must cover the matrices' rows (Resize) and outlive the
-  /// trainer. Null (default) disables tracking at zero cost.
-  DirtyRowSet* dirty_rows = nullptr;
 };
 
 /// Asynchronous stochastic gradient trainer over typed edges (paper
@@ -165,12 +134,10 @@ class EdgeSamplingTrainer {
   bool prepared() const { return prepared_; }
 
  private:
-  /// `dirty` is the shard-local dirty set for this shard (or the merged
-  /// set directly on the sequential path); null when tracking is off.
   /// `grad` is caller-owned gradient scratch of length dim() — shard
   /// bodies run on the hot path and must not allocate.
   void TrainShard(EdgeType e, int64_t num_samples, float lr, uint64_t seed,
-                  DirtyRowSet* dirty, float* grad);
+                  float* grad);
 
   const Heterograph* graph_;
   EmbeddingMatrix* center_;
@@ -183,9 +150,6 @@ class EdgeSamplingTrainer {
   int64_t steps_done_ = 0;
   ThreadPool* pool_ = nullptr;            // null => single-threaded
   std::unique_ptr<ThreadPool> owned_pool_;  // backs pool_ when not borrowed
-  /// Per-shard dirty scratch, merged into options_.dirty_rows at the
-  /// TrainEdgeType barrier (allocation-free at steady state).
-  std::vector<DirtyRowSet> worker_dirty_;
 };
 
 }  // namespace actor

@@ -37,10 +37,9 @@ Result<PreparedDataset> PrepareDataset(const PipelineOptions& options,
 }
 
 std::shared_ptr<const ModelSnapshot> PreparedDataset::Snapshot(
-    const EmbeddingMatrix& center, uint64_t version, const ModelSnapshot* prev,
-    const DirtyRowSet* dirty) const {
+    const EmbeddingMatrix& center, uint64_t version) const {
   return ModelSnapshot::FromBatch(center, /*context=*/nullptr, graphs,
-                                  hotspots, vocab, version, prev, dirty);
+                                  hotspots, vocab, version);
 }
 
 PipelineOptions UTGeoPipeline(double scale) {

@@ -45,13 +45,9 @@ struct PreparedDataset {
   /// Publishes `center` together with this dataset's graphs / hotspots /
   /// vocabulary as an immutable serving snapshot (copy-on-publish; see
   /// docs/serving.md). The usual way to stand up a QueryEngine or
-  /// EmbeddingCrossModalModel after TrainActor. With `prev` and `dirty`
-  /// the publish is a delta: chunks without a dirty row are shared with
-  /// `prev` instead of re-copied.
+  /// EmbeddingCrossModalModel after TrainActor.
   std::shared_ptr<const ModelSnapshot> Snapshot(
-      const EmbeddingMatrix& center, uint64_t version = 0,
-      const ModelSnapshot* prev = nullptr,
-      const DirtyRowSet* dirty = nullptr) const;
+      const EmbeddingMatrix& center, uint64_t version = 0) const;
 };
 
 /// Runs the full preparation pipeline.

@@ -21,22 +21,22 @@ ChunkedMatrix::ChunkPtr ChunkedMatrix::NewChunk(std::size_t stride) {
   return ChunkPtr(p, [](const float* q) { std::free(const_cast<float*>(q)); });
 }
 
-ChunkedMatrix ChunkedMatrix::Copy(int32_t rows, int32_t dim,
-                                  std::size_t stride, const RowSource& row,
-                                  const ChunkedMatrix* prev,
-                                  const DirtyRowSet* dirty) {
-  if (prev != nullptr && (prev->dim_ != dim || prev->stride_ != stride ||
-                          prev->rows_ > rows)) {
+ChunkedMatrix ChunkedMatrix::CopyChunks(const EmbeddingMatrix& src,
+                                        const ChunkedMatrix* prev,
+                                        const DirtyRowSet* dirty) {
+  const int32_t rows = src.rows();
+  const std::size_t stride = src.stride();
+  if (prev != nullptr && (prev->dim_ != src.dim() ||
+                          prev->stride_ != stride || prev->rows_ > rows)) {
     prev = nullptr;  // incompatible layout — nothing to share
   }
   ChunkedMatrix out;
   out.rows_ = rows;
-  out.dim_ = dim;
+  out.dim_ = src.dim();
   out.stride_ = stride;
   if (out.empty()) return out;
   const std::size_t num_chunks =
       (static_cast<std::size_t>(rows) + kChunkRows - 1) / kChunkRows;
-  const std::size_t row_bytes = stride * sizeof(float);
   out.chunks_.reserve(num_chunks);
   for (std::size_t c = 0; c < num_chunks; ++c) {
     const int32_t begin = static_cast<int32_t>(c) * kChunkRows;
@@ -45,45 +45,30 @@ ChunkedMatrix ChunkedMatrix::Copy(int32_t rows, int32_t dim,
     // and no row in it changed. Rows appended after `prev` are expected to
     // be marked dirty by the trainer, but the coverage check keeps the
     // copy correct even if a caller forgets.
-    if (prev != nullptr && dirty != nullptr && end <= prev->rows_ &&
-        dirty->rows() >= end && !dirty->AnyInRange(begin, end)) {
+    if (prev != nullptr && end <= prev->rows_ && dirty->rows() >= end &&
+        !dirty->AnyInRange(begin, end)) {
       out.chunks_.push_back(prev->chunks_[c]);
       continue;
     }
+    // The source rows are contiguous (padding floats included), so the
+    // chunk moves with one memcpy.
     ChunkPtr chunk = NewChunk(stride);
-    auto* dst =
-        reinterpret_cast<unsigned char*>(const_cast<float*>(chunk.get()));
-    // Runs of rows that are contiguous in the source (padding floats
-    // included) move with one memcpy.
-    int32_t run_begin = begin;
-    const float* run_src = row(begin);
-    for (int32_t r = begin + 1; r <= end; ++r) {
-      const float* src = r < end ? row(r) : nullptr;
-      if (reinterpret_cast<std::uintptr_t>(src) ==
-          reinterpret_cast<std::uintptr_t>(run_src) +
-              static_cast<std::size_t>(r - run_begin) * row_bytes) {
-        continue;
-      }
-      std::memcpy(dst + static_cast<std::size_t>(run_begin - begin) * row_bytes,
-                  run_src, static_cast<std::size_t>(r - run_begin) * row_bytes);
-      run_begin = r;
-      run_src = src;
-    }
+    std::memcpy(const_cast<float*>(chunk.get()), src.row(begin),
+                static_cast<std::size_t>(end - begin) * stride *
+                    sizeof(float));
     out.chunks_.push_back(std::move(chunk));
   }
   return out;
 }
 
 ChunkedMatrix ChunkedMatrix::FullCopy(const EmbeddingMatrix& src) {
-  return Copy(src.rows(), src.dim(), src.stride(),
-              [&src](int32_t i) { return src.row(i); });
+  return CopyChunks(src, nullptr, nullptr);
 }
 
 ChunkedMatrix ChunkedMatrix::DeltaCopy(const EmbeddingMatrix& src,
                                        const ChunkedMatrix& prev,
                                        const DirtyRowSet& dirty) {
-  return Copy(src.rows(), src.dim(), src.stride(),
-              [&src](int32_t i) { return src.row(i); }, &prev, &dirty);
+  return CopyChunks(src, &prev, &dirty);
 }
 
 std::size_t ChunkedMatrix::SharedChunksWith(const ChunkedMatrix& other) const {

@@ -2,7 +2,6 @@
 #define ACTOR_SERVE_CHUNKED_MATRIX_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -20,15 +19,14 @@ namespace actor {
 /// 32-byte alignment contract as EmbeddingMatrix (padding floats zero, so
 /// the SIMD kernels see the exact layout the flat matrix would give them).
 ///
-/// Copy() is the one routine that builds it, for every publish path. With
-/// no previous snapshot it materializes every chunk (the full-copy publish,
-/// kept alive by the delta_publish=false A/B lever). With one, it copies
-/// only chunks containing a dirty row and shares the rest with the previous
-/// snapshot's ChunkedMatrix, so publish cost is proportional to the rows
-/// the last batch touched, not the model. Shared chunks are safe because
-/// snapshots never mutate them: a later publish replaces chunk *pointers*,
-/// never chunk contents, so old versions stay immutable and queries stay
-/// lock-free.
+/// FullCopy() materializes every chunk (the first publish, and every
+/// publish under the delta_publish=false A/B lever). DeltaCopy() copies
+/// only chunks containing a dirty row and shares the rest with the
+/// previous snapshot's ChunkedMatrix, so publish cost is proportional to
+/// the rows the last batch touched, not the model. Shared chunks are safe
+/// because snapshots never mutate them: a later publish replaces chunk
+/// *pointers*, never chunk contents, so old versions stay immutable and
+/// queries stay lock-free.
 class ChunkedMatrix {
  public:
   /// Rows per chunk. Power of two so row -> (chunk, offset) is shift/mask;
@@ -37,29 +35,15 @@ class ChunkedMatrix {
   /// that the chunk pointer array stays negligible next to the floats.
   static constexpr int32_t kChunkRows = 64;
 
-  /// Address of source row i: `stride` floats (dim values, then zero
-  /// padding), in the row order of the matrix being built.
-  using RowSource = std::function<const float*(int32_t)>;
-
   ChunkedMatrix() = default;
 
-  /// Builds a `rows` x `dim` matrix whose row i is copied from `row(i)`.
-  /// When `prev` and `dirty` are both given, every chunk that `prev` fully
-  /// covers and that has no row marked in `dirty` is shared with `prev`
-  /// instead of copied. `dirty` must cover every row that changed since
-  /// `prev` was built from the same logical matrix; it may cover more
-  /// (extra copies, never wrong contents). Falls back to a full copy when
-  /// `prev` has a different dim/stride or more rows. Consecutive rows whose
-  /// sources are contiguous are moved with one memcpy, so a flat source
-  /// copies a whole chunk at once and a sharded one row runs per owner.
-  static ChunkedMatrix Copy(int32_t rows, int32_t dim, std::size_t stride,
-                            const RowSource& row,
-                            const ChunkedMatrix* prev = nullptr,
-                            const DirtyRowSet* dirty = nullptr);
-
-  /// Copy() of every row of a flat matrix.
+  /// Copies every row of `src`.
   static ChunkedMatrix FullCopy(const EmbeddingMatrix& src);
-  /// Copy() of a flat matrix against `prev`, sharing clean chunks.
+  /// Copies `src`, sharing with `prev` every chunk that `prev` fully
+  /// covers and that has no row marked in `dirty`. `dirty` must cover
+  /// every row that changed since `prev` was built from the same matrix;
+  /// it may cover more (extra copies, never wrong contents). Falls back to
+  /// a full copy when `prev` has a different dim/stride or more rows.
   static ChunkedMatrix DeltaCopy(const EmbeddingMatrix& src,
                                  const ChunkedMatrix& prev,
                                  const DirtyRowSet& dirty);
@@ -89,6 +73,10 @@ class ChunkedMatrix {
 
   /// Allocates one zeroed, kRowAlignment-aligned chunk buffer.
   static ChunkPtr NewChunk(std::size_t stride);
+  /// The shared body of FullCopy (null `prev`/`dirty`) and DeltaCopy.
+  static ChunkedMatrix CopyChunks(const EmbeddingMatrix& src,
+                                  const ChunkedMatrix* prev,
+                                  const DirtyRowSet* dirty);
 
   std::vector<ChunkPtr> chunks_;
   int32_t rows_ = 0;

@@ -44,18 +44,13 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromBatch(
     const EmbeddingMatrix& center, const EmbeddingMatrix* context,
     std::shared_ptr<const BuiltGraphs> graphs,
     std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab, uint64_t version,
-    const ModelSnapshot* prev, const DirtyRowSet* dirty) {
+    std::shared_ptr<const Vocabulary> vocab, uint64_t version) {
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->version_ = version;
-  const bool delta = prev != nullptr && dirty != nullptr;
-  snap->center_ = delta ? ChunkedMatrix::DeltaCopy(center, prev->center_, *dirty)
-                        : ChunkedMatrix::FullCopy(center);
+  snap->center_ = ChunkedMatrix::FullCopy(center);
   if (context != nullptr) {
-    const bool ctx_delta = delta && prev->context_ != nullptr;
-    snap->context_ = std::make_unique<ChunkedMatrix>(
-        ctx_delta ? ChunkedMatrix::DeltaCopy(*context, *prev->context_, *dirty)
-                  : ChunkedMatrix::FullCopy(*context));
+    snap->context_ =
+        std::make_unique<ChunkedMatrix>(ChunkedMatrix::FullCopy(*context));
   }
   snap->graphs_ = std::move(graphs);
   snap->hotspots_ = std::move(hotspots);

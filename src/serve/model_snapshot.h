@@ -11,7 +11,6 @@
 
 #include "data/record.h"
 #include "data/vocabulary.h"
-#include "embedding/dirty_rows.h"
 #include "embedding/embedding_matrix.h"
 #include "graph/graph_builder.h"
 #include "graph/types.h"
@@ -62,13 +61,14 @@ struct OnlineCatalog {
 /// copied into an immutable ChunkedMatrix and the result is handed out
 /// through SnapshotStore's atomic shared_ptr slot. Two publish flavors
 /// share one storage layout:
-///   - full copy (the delta_publish=false A/B path): every chunk is
+///   - full copy (every batch publish, and the online path's first
+///     publish or delta_publish=false A/B lever): every chunk is
 ///     materialized, O(units x dim) per publish;
-///   - delta publish: only chunks containing rows the trainer marked
-///     dirty since the previous snapshot are copied; every clean chunk —
-///     and, on the online path, the whole unit catalogue when no unit was
-///     added — is shared with the previous snapshot by shared_ptr, so
-///     publish cost is proportional to the ingest batch.
+///   - delta publish (online path): only chunks containing rows the
+///     trainer marked dirty since the previous snapshot are copied; every
+///     clean chunk — and the whole unit catalogue when no unit was added —
+///     is shared with the previous snapshot by shared_ptr, so publish cost
+///     is proportional to the ingest batch.
 /// Either way a query holding a snapshot sees one consistent model
 /// version forever — later publishes swap chunk *pointers*, never chunk
 /// contents — and readers never block writers.
@@ -91,23 +91,16 @@ class ModelSnapshot {
   /// center). `graphs` and `hotspots` are required; `vocab` may be null,
   /// in which case KeywordVertex()/LookupWord() report every keyword as
   /// unknown. The shared structures must not be mutated after publishing.
-  ///
-  /// When `prev` and `dirty` are given, both matrices are delta-copied
-  /// against `prev`'s (chunks with no dirty row are shared). `dirty` must
-  /// cover every center *and* context row mutated since `prev` was
-  /// published from the same model (one union set — the trainers mark
-  /// center rows, positive context rows, and negative draws alike).
   static std::shared_ptr<const ModelSnapshot> FromBatch(
       const EmbeddingMatrix& center, const EmbeddingMatrix* context,
       std::shared_ptr<const BuiltGraphs> graphs,
       std::shared_ptr<const Hotspots> hotspots,
-      std::shared_ptr<const Vocabulary> vocab, uint64_t version,
-      const ModelSnapshot* prev = nullptr,
-      const DirtyRowSet* dirty = nullptr);
+      std::shared_ptr<const Vocabulary> vocab, uint64_t version);
 
   /// Publishes a streaming model: `center` holds the frozen rows in
-  /// unit-id order (built by ChunkedMatrix::Copy, fully or against the
-  /// previous snapshot) and `catalog` — a copy of the actor's — is adopted.
+  /// unit-id order (built by ChunkedMatrix::FullCopy, or DeltaCopy against
+  /// the previous snapshot) and `catalog` — a copy of the actor's — is
+  /// adopted.
   static std::shared_ptr<const ModelSnapshot> FromOnline(
       ChunkedMatrix center, OnlineCatalog catalog, uint64_t version);
 

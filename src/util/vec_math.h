@@ -108,7 +108,7 @@ class SigmoidTable;
 
 /// Most context rows one NegativeSamplingStep call takes. Callers with more
 /// rows per step split them into calls of at most this many, in order
-/// (NegativeSamplingUpdateRows in embedding/sgd.h).
+/// (NegativeSamplingUpdate in embedding/sgd.h).
 inline constexpr std::size_t kMaxStepRows = 16;
 
 /// One negative-sampling SGD step (Eq. (7), updates of Eqs. (8)-(10)) of a

@@ -122,49 +122,6 @@ TEST(ConcurrencyTsanTest, TrainSkipGramMultiThread) {
   EXPECT_TRUE(AllFinite(embedding->context));
 }
 
-TEST(ConcurrencyTsanTest, OnlineActorIngestMultiThread) {
-  // Streaming path: four shard epochs run at once on the pool, each
-  // writing only its own rows, dirty set and remote-tile copies, while the
-  // barrier-time tile refresh reads every shard's context rows. TSan must
-  // see no race between the epochs or across the barrier. Exercises decay,
-  // drops, and incremental sampler rebuilds across batches.
-  SyntheticConfig config;
-  config.seed = 11;
-  config.num_records = 900;
-  config.num_users = 30;
-  config.num_communities = 3;
-  config.num_topics = 4;
-  config.num_venues = 8;
-  config.keywords_per_topic = 12;
-  config.background_vocab = 30;
-  auto ds = GenerateSynthetic(config);
-  ASSERT_TRUE(ds.ok());
-  CorpusBuildOptions build;
-  build.min_word_count = 1;
-  auto corpus = TokenizedCorpus::Build(ds->corpus, build);
-  ASSERT_TRUE(corpus.ok());
-  std::vector<std::vector<TokenizedRecord>> batches(3);
-  for (std::size_t i = 0; i < corpus->size(); ++i) {
-    batches[i * batches.size() / corpus->size()].push_back(
-        corpus->record(i));
-  }
-
-  ThreadPool pool(kThreads);
-  OnlineActorOptions options;
-  options.dim = 16;
-  options.samples_per_edge_per_batch = 2.0;
-  options.num_shards = 4;
-  options.num_threads = kThreads;
-  options.pool = &pool;  // caller-owned persistent pool, PR 1 substrate
-  auto model = OnlineActor::Create(options);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(model->Ingest(batch).ok());
-  }
-  EXPECT_GT(model->num_live_edges(), 0u);
-  EXPECT_TRUE(AllFinite(model->GatherCenter()));
-}
-
 TEST(ConcurrencyTsanTest, QueryDuringIngest) {
   // The serving contract (docs/serving.md): query threads acquire the
   // latest published snapshot and run top-k queries while the ingest
@@ -316,9 +273,9 @@ TEST(ConcurrencyTsanTest, BatchedQueryDuringIngest) {
 }
 
 TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
-  // Delta-publish flavor of QueryDuringIngest at the default single
-  // shard: the ingest thread chunk-COW publishes against the previous
-  // snapshot while query threads keep acquiring and scoring. TSan must see
+  // Delta-publish flavor of QueryDuringIngest: the ingest thread
+  // chunk-COW publishes against the previous snapshot while query threads
+  // keep acquiring and scoring. TSan must see
   // no races in the chunk sharing, and a snapshot held from before the
   // writer started must stay byte-frozen throughout.
   SyntheticConfig config;
@@ -390,92 +347,6 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
   auto last = model->CurrentSnapshot();
   ASSERT_NE(last, nullptr);
   EXPECT_GT(last->version(), held->version());
-  EXPECT_TRUE(AllFinite(last->center()));
-}
-
-TEST(ConcurrencyTsanTest, ShardedQueryDuringIngest) {
-  // The serving contract at four shards: the ingest thread trains four
-  // shard epochs at once on its own pool and delta-publishes flat
-  // snapshots, each dirty chunk gathered from the owning shards, while
-  // query workers acquire the current snapshot and query it through
-  // QueryEngine. TSan must see no races between the per-shard trainers
-  // (owned rows + private tile copies only), the publish gather, and the
-  // readers.
-  SyntheticConfig config;
-  config.seed = 83;
-  config.num_records = 900;
-  config.num_users = 30;
-  config.num_communities = 3;
-  config.num_topics = 4;
-  config.num_venues = 8;
-  config.keywords_per_topic = 12;
-  config.background_vocab = 30;
-  auto ds = GenerateSynthetic(config);
-  ASSERT_TRUE(ds.ok());
-  CorpusBuildOptions build;
-  build.min_word_count = 1;
-  auto corpus = TokenizedCorpus::Build(ds->corpus, build);
-  ASSERT_TRUE(corpus.ok());
-  std::vector<std::vector<TokenizedRecord>> batches(6);
-  for (std::size_t i = 0; i < corpus->size(); ++i) {
-    batches[i * batches.size() / corpus->size()].push_back(
-        corpus->record(i));
-  }
-
-  ThreadPool train_pool(kThreads);
-  OnlineActorOptions options;
-  options.dim = 16;
-  options.samples_per_edge_per_batch = 2.0;
-  options.num_shards = 4;
-  options.num_threads = kThreads;
-  options.pool = &train_pool;
-  options.delta_publish = true;  // chunk gather under concurrency
-  auto model = OnlineActor::Create(options);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  ASSERT_TRUE(model->Ingest(batches[0]).ok());
-  ASSERT_NE(model->PublishSnapshot(), nullptr);
-  const GeoPoint probe = batches[0].front().location;
-
-  ThreadPool query_pool(kThreads);
-  std::atomic<int> query_failures{0};
-  std::atomic<int64_t> queries_done{0};
-  std::atomic<bool> ingest_done{false};
-  for (int t = 0; t < kThreads; ++t) {
-    query_pool.Submit([&, t] {
-      uint64_t spins = 0;
-      uint64_t last_version = 0;
-      while (!ingest_done.load(std::memory_order_acquire) || spins < 50) {
-        ++spins;
-        auto snap = model->CurrentSnapshot();
-        if (snap == nullptr) continue;
-        // Versions move forward only: a stale snapshot would mean the
-        // pointer swap tore or the store lost release ordering.
-        if (snap->version() < last_version) {
-          query_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        last_version = snap->version();
-        QueryEngine engine(std::move(snap));
-        auto words = engine.QueryByLocation(probe, VertexType::kWord,
-                                            3 + (t % 3));
-        auto hours = engine.QueryByHour(9.0 + t, VertexType::kTime, 2);
-        if (!words.ok() || !hours.ok()) {
-          query_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        queries_done.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::size_t b = 1; b < batches.size(); ++b) {
-    ASSERT_TRUE(model->Ingest(batches[b]).ok());
-    model->PublishSnapshot();
-  }
-  ingest_done.store(true, std::memory_order_release);
-  query_pool.Wait();
-
-  EXPECT_EQ(query_failures.load(), 0);
-  EXPECT_GT(queries_done.load(), 0);
-  auto last = model->CurrentSnapshot();
-  ASSERT_NE(last, nullptr);
   EXPECT_TRUE(AllFinite(last->center()));
 }
 

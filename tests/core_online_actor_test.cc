@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "data/synthetic.h"
 #include "eval/mrr.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/vec_math.h"
 
 namespace actor {
 namespace {
@@ -58,9 +59,107 @@ TEST(OnlineActorTest, CreateValidatesOptions) {
   o = FastOptions();
   o.samples_per_edge_per_batch = 0.0;
   EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
-  o = FastOptions();
-  o.num_shards = 0;
-  EXPECT_TRUE(OnlineActor::Create(o).status().IsInvalidArgument());
+}
+
+/// FNV-1a over the value bits of every row (padding excluded).
+uint64_t Digest(uint64_t h, const EmbeddingMatrix& m) {
+  for (int32_t r = 0; r < m.rows(); ++r) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.row(r));
+    const std::size_t n = sizeof(float) * static_cast<std::size_t>(m.dim());
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+uint64_t TrainerDigest(VecBackend backend) {
+  SetVecBackend(backend);
+  auto model = OnlineActor::Create(FastOptions());
+  EXPECT_TRUE(model.ok());
+  for (const auto& batch : MakeBatches(900, 3)) {
+    EXPECT_TRUE(model->Ingest(batch).ok());
+  }
+  EXPECT_EQ(model->num_units(), 279);
+  uint64_t h = 14695981039346656037ull;
+  h = Digest(h, model->center());
+  return Digest(h, model->context());
+}
+
+// The trainer's bits, pinned: center+context after three FastOptions
+// batches, per kernel backend. The values were recorded from the earlier
+// trainers this one replaced, bit for bit, so any change to draw order,
+// dirty tracking or kernel arithmetic shows up here.
+TEST(OnlineActorTest, TrainerMatchesPinnedDigest) {
+  const VecBackend original = ActiveVecBackend();
+  EXPECT_EQ(TrainerDigest(VecBackend::kScalar), 0xcc08ea6507889f1aull);
+  if (Avx2Available()) {
+    EXPECT_EQ(TrainerDigest(VecBackend::kAvx2), 0xaa4b0d34db2bde1eull);
+  }
+  SetVecBackend(original);
+}
+
+// A non-finite timestamp has no hour of day and a non-finite location is
+// far from every hotspot, so the whole batch is refused before it touches
+// the model: no decay, no new unit, no batch counted, no new snapshot.
+TEST(OnlineActorTest, IngestRejectsNonFiniteRecordsAndLeavesModelUntouched) {
+  auto model = OnlineActor::Create(FastOptions());
+  ASSERT_TRUE(model.ok());
+  const auto batches = MakeBatches(600, 2);
+  ASSERT_TRUE(model->Ingest(batches[0]).ok());
+  const auto snap = model->PublishSnapshot();
+  ASSERT_NE(snap, nullptr);
+  const int64_t batches_before = model->batches_ingested();
+  const int32_t units_before = model->num_units();
+  const std::size_t edges_before = model->num_live_edges();
+  const uint64_t digest_before =
+      Digest(Digest(14695981039346656037ull, model->center()),
+             model->context());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int field = 0; field < 3; ++field) {
+    for (const double bad : {nan, inf, -inf}) {
+      std::vector<TokenizedRecord> batch = batches[1];
+      ASSERT_GT(batch.size(), 2u);
+      TokenizedRecord& rec = batch[batch.size() / 2];
+      if (field == 0) rec.timestamp = bad;
+      if (field == 1) rec.location.x = bad;
+      if (field == 2) rec.location.y = bad;
+      EXPECT_TRUE(model->Ingest(batch).IsInvalidArgument())
+          << "field " << field << " value " << bad;
+    }
+  }
+  EXPECT_EQ(model->batches_ingested(), batches_before);
+  EXPECT_EQ(model->num_units(), units_before);
+  EXPECT_EQ(model->num_live_edges(), edges_before);
+  EXPECT_EQ(Digest(Digest(14695981039346656037ull, model->center()),
+                   model->context()),
+            digest_before);
+  // Nothing changed, so publishing again is the no-op publish.
+  EXPECT_EQ(model->PublishSnapshot(), snap);
+  // The stream goes on: the clean batch is accepted afterwards.
+  ASSERT_TRUE(model->Ingest(batches[1]).ok());
+  EXPECT_EQ(model->batches_ingested(), batches_before + 1);
+}
+
+TEST(OnlineActorTest, ScoreRecordAgainstUnitRejectsOutOfRangeCandidates) {
+  auto model = OnlineActor::Create(FastOptions());
+  ASSERT_TRUE(model.ok());
+  const auto batches = MakeBatches(600, 2);
+  ASSERT_TRUE(model->Ingest(batches[0]).ok());
+  const TokenizedRecord& rec = batches[1].front();
+  const int32_t n = model->num_units();
+  ASSERT_GT(n, 1);
+  for (const VertexId bad : {kInvalidVertex, VertexId{-7}, n, n + 1000}) {
+    EXPECT_EQ(model->ScoreRecordAgainstUnit(rec, bad), -1e9)
+        << "candidate " << bad;
+  }
+  // In-range candidates still score as cosines.
+  const double score = model->ScoreRecordAgainstUnit(rec, n - 1);
+  EXPECT_GE(score, -1.0 - 1e-6);
+  EXPECT_LE(score, 1.0 + 1e-6);
 }
 
 TEST(OnlineActorTest, EmptyBatchIsAPureDecayTick) {
@@ -247,32 +346,8 @@ TEST(OnlineActorTest, DeterministicForSeed) {
   }
 }
 
-TEST(OnlineActorTest, SingleThreadWithExternalPoolBitIdenticalToNoPool) {
-  // The PR 2 contract, extended to the streaming path: num_threads <= 1
-  // must ignore any provided pool entirely and stay on the sequential,
-  // bit-deterministic code path.
-  const auto batches = MakeBatches(800, 2, 21);
-  ThreadPool pool(4);
-  OnlineActorOptions with_pool = FastOptions();
-  with_pool.num_threads = 1;
-  with_pool.pool = &pool;
-  auto a = OnlineActor::Create(with_pool);
-  auto b = OnlineActor::Create(FastOptions());
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(a->Ingest(batch).ok());
-    ASSERT_TRUE(b->Ingest(batch).ok());
-  }
-  ASSERT_EQ(a->num_units(), b->num_units());
-  for (VertexId v = 0; v < a->num_units(); ++v) {
-    for (int d = 0; d < 16; ++d) {
-      ASSERT_FLOAT_EQ(a->center().row(v)[d], b->center().row(v)[d]);
-    }
-  }
-}
-
 TEST(OnlineActorTest, IncrementalSamplerMatchesFullRebuildDeterministically) {
-  // On the sequential path the cached in-place sampler rebuild must be an
+  // The cached in-place sampler rebuild must be an
   // exact optimization: same draws, same updates, same embeddings as
   // reconstructing every sampler from scratch each batch.
   const auto batches = MakeBatches(800, 3, 21);
@@ -293,58 +368,6 @@ TEST(OnlineActorTest, IncrementalSamplerMatchesFullRebuildDeterministically) {
       ASSERT_FLOAT_EQ(a->center().row(v)[d], b->center().row(v)[d]);
     }
   }
-}
-
-TEST(OnlineActorTest, MultiThreadIngestLearnsStructure) {
-  // Four shards, their epochs run on one thread or four: threads only pick
-  // which shard epochs run at once, so both runs are bit-identical — and
-  // the sharded space must still converge to a usable model.
-  const auto batches = MakeBatches(2000, 4, 9);
-  OnlineActorOptions options = FastOptions();
-  options.num_shards = 4;
-  options.samples_per_edge_per_batch = 4.0;
-  OnlineActorOptions parallel = options;
-  parallel.num_threads = 4;
-  auto model = OnlineActor::Create(options);
-  auto par = OnlineActor::Create(parallel);
-  ASSERT_TRUE(model.ok() && par.ok());
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(model->Ingest(batch).ok());
-    ASSERT_TRUE(par->Ingest(batch).ok());
-  }
-  const EmbeddingMatrix a = model->GatherCenter();
-  const EmbeddingMatrix b = par->GatherCenter();
-  ASSERT_EQ(a.rows(), b.rows());
-  for (VertexId v = 0; v < a.rows(); ++v) {
-    for (int d = 0; d < 16; ++d) {
-      ASSERT_TRUE(std::isfinite(a.row(v)[d]));
-      ASSERT_EQ(a.row(v)[d], b.row(v)[d]) << "unit " << v << " dim " << d;
-    }
-  }
-  // Same prequential ranking as LearnsCrossModalStructure, looser bar:
-  // remote context rows are one batch stale, which costs a little quality,
-  // but the space must stay usable.
-  Rng rng(3);
-  std::vector<int> ranks;
-  const auto& test = batches.back();
-  for (std::size_t q = 0; q < std::min<std::size_t>(test.size(), 300); ++q) {
-    const VertexId truth_unit = model->SpatialUnit(test[q].location);
-    if (truth_unit == kInvalidVertex) continue;
-    const double truth = model->ScoreRecordAgainstUnit(test[q], truth_unit);
-    std::vector<double> noise;
-    int attempts = 0;
-    while (static_cast<int>(noise.size()) < 10 && attempts++ < 200) {
-      const auto& other = test[rng.Uniform(test.size())];
-      const VertexId unit = model->SpatialUnit(other.location);
-      if (unit == truth_unit || unit == kInvalidVertex) continue;
-      noise.push_back(model->ScoreRecordAgainstUnit(test[q], unit));
-    }
-    if (noise.size() < 10) continue;
-    ranks.push_back(RankOfTruth(truth, noise));
-  }
-  ASSERT_GT(ranks.size(), 50u);
-  EXPECT_GT(MeanReciprocalRank(ranks), 0.35)
-      << "sharded streaming space degenerated";
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
+// The streaming trainer that replaced the training shards: one set of rows,
+// one dirty set, one publish path. The file keeps the name of the sharded
+// suite it succeeds; the pinned trainer digest lives in
+// core_online_actor_test (TrainerMatchesPinnedDigest).
+
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/online_actor.h"
 #include "data/synthetic.h"
-#include "serve/query_engine.h"
-#include "util/thread_pool.h"
-#include "util/vec_math.h"
+#include "serve/model_snapshot.h"
 
 namespace actor {
 namespace {
@@ -45,109 +48,11 @@ OnlineActorOptions FastOptions() {
   return o;
 }
 
-void ExpectBitIdentical(const EmbeddingMatrix& a, const EmbeddingMatrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    ASSERT_EQ(std::memcmp(a.row(r), b.row(r),
-                          sizeof(float) * static_cast<std::size_t>(a.dim())),
-              0)
-        << "row " << r << " differs";
-  }
-}
-
-/// FNV-1a over the value bits of every row (padding excluded).
-uint64_t Digest(uint64_t h, const EmbeddingMatrix& m) {
-  for (int32_t r = 0; r < m.rows(); ++r) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(m.row(r));
-    const std::size_t n = sizeof(float) * static_cast<std::size_t>(m.dim());
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-uint64_t OneShardDigest(VecBackend backend) {
-  SetVecBackend(backend);
-  auto model = OnlineActor::Create(FastOptions());
-  EXPECT_TRUE(model.ok());
-  for (const auto& batch : MakeBatches(900, 3)) {
-    EXPECT_TRUE(model->Ingest(batch).ok());
-  }
-  EXPECT_EQ(model->num_shards(), 1);
-  EXPECT_EQ(model->num_units(), 279);
-  uint64_t h = 14695981039346656037ull;
-  h = Digest(h, model->center_shard(0));
-  return Digest(h, model->context_shard(0));
-}
-
-// The trainer's bits, pinned: center+context after three FastOptions
-// batches at the default single shard, per kernel backend. The values were
-// recorded from the flat sample-split trainer this pipeline replaced
-// (bit-identical to its one-shard ownership epoch), so any change to draw
-// order, routing, dirty tracking or kernel arithmetic shows up here.
-TEST(ShardOnlineActorTest, OneShardTrainerMatchesPinnedDigest) {
-  const VecBackend original = ActiveVecBackend();
-  EXPECT_EQ(OneShardDigest(VecBackend::kScalar), 0xcc08ea6507889f1aull);
-  if (Avx2Available()) {
-    EXPECT_EQ(OneShardDigest(VecBackend::kAvx2), 0xaa4b0d34db2bde1eull);
-  }
-  SetVecBackend(original);
-}
-
-// Sharded training writes only shard-owned state (remote context rows go
-// to private tile copies), so unlike legacy HOGWILD the result cannot
-// depend on scheduling: one worker or many, same bits.
-TEST(ShardOnlineActorTest, ShardedDeterministicAcrossThreadCounts) {
-  OnlineActorOptions seq_opts = FastOptions();
-  seq_opts.num_shards = 4;
-  OnlineActorOptions par_opts = seq_opts;
-  par_opts.num_threads = 4;
-  auto seq = OnlineActor::Create(seq_opts);
-  auto par = OnlineActor::Create(par_opts);
-  ASSERT_TRUE(seq.ok());
-  ASSERT_TRUE(par.ok());
-
-  const auto batches = MakeBatches(900, 3);
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(seq->Ingest(batch).ok());
-    ASSERT_TRUE(par->Ingest(batch).ok());
-  }
-  ExpectBitIdentical(seq->GatherCenter(), par->GatherCenter());
-}
-
-TEST(ShardOnlineActorTest, CrossShardEdgesResolveThroughRemoteTileCache) {
-  OnlineActorOptions opts = FastOptions();
-  opts.num_shards = 2;
-  auto model = OnlineActor::Create(opts);
-  ASSERT_TRUE(model.ok());
-  const auto batches = MakeBatches(600, 2);
-  for (const auto& batch : batches) ASSERT_TRUE(model->Ingest(batch).ok());
-
-  // Hash partitioning over a connected co-occurrence graph guarantees
-  // cross-shard edges, and every one of them must have pulled its remote
-  // endpoint's context row into the owner's tile cache at the barrier.
-  ASSERT_EQ(model->num_shards(), 2);
-  std::size_t tile_rows = 0;
-  for (int s = 0; s < model->num_shards(); ++s) {
-    tile_rows += model->remote_tile_rows(s);
-  }
-  EXPECT_GT(tile_rows, 0u);
-  // The training outcome stays finite and valid across both shards.
-  for (int s = 0; s < model->num_shards(); ++s) {
-    EXPECT_TRUE(model->center_shard(s).DebugValidate());
-  }
-}
-
-// At more than one shard the delta publish gathers only dirty chunks from
-// their owning shards. It must produce exactly what a full publish and a
-// plain gather of the live model produce — the chunk-COW sharing is an
-// optimization, never a semantic change.
-TEST(ShardOnlineActorTest, ShardedPublishDeltaMatchesFull) {
+// The delta publish copies only dirty chunks of center(). It must produce
+// exactly what a full publish and the live model hold — the chunk-COW
+// sharing is an optimization, never a semantic change.
+TEST(ShardOnlineActorTest, PublishDeltaMatchesFullAndLiveModel) {
   OnlineActorOptions delta_opts = FastOptions();
-  delta_opts.num_shards = 2;
   delta_opts.delta_publish = true;
   OnlineActorOptions full_opts = delta_opts;
   full_opts.delta_publish = false;
@@ -168,21 +73,24 @@ TEST(ShardOnlineActorTest, ShardedPublishDeltaMatchesFull) {
     ASSERT_NE(delta_snap, nullptr);
     ASSERT_NE(full_snap, nullptr);
     ASSERT_EQ(delta_snap->version(), full_snap->version());
-    const EmbeddingMatrix gathered = delta_model->GatherCenter();
+    const EmbeddingMatrix& live = delta_model->center();
     const ChunkedMatrix& a = delta_snap->center();
     const ChunkedMatrix& b = full_snap->center();
-    ASSERT_EQ(a.rows(), gathered.rows());
-    ASSERT_EQ(b.rows(), gathered.rows());
+    ASSERT_EQ(a.rows(), live.rows());
+    ASSERT_EQ(b.rows(), live.rows());
     const std::size_t bytes =
-        sizeof(float) * static_cast<std::size_t>(gathered.dim());
-    for (int32_t r = 0; r < gathered.rows(); ++r) {
-      ASSERT_EQ(std::memcmp(a.row(r), gathered.row(r), bytes), 0)
+        sizeof(float) * static_cast<std::size_t>(live.dim());
+    for (int32_t r = 0; r < live.rows(); ++r) {
+      ASSERT_EQ(std::memcmp(a.row(r), live.row(r), bytes), 0)
           << "delta row " << r << " differs";
-      ASSERT_EQ(std::memcmp(b.row(r), gathered.row(r), bytes), 0)
+      ASSERT_EQ(std::memcmp(b.row(r), live.row(r), bytes), 0)
           << "full row " << r << " differs";
       ASSERT_EQ(delta_snap->vertex_type(r), delta_model->unit_type(r));
     }
   }
+  // The training outcome stays finite and valid in both row sets.
+  EXPECT_TRUE(delta_model->center().DebugValidate());
+  EXPECT_TRUE(delta_model->context().DebugValidate());
   // Unchanged model => publish is a no-op returning the same snapshot.
   EXPECT_EQ(delta_model->PublishSnapshot(), delta_snap);
 }

@@ -226,6 +226,24 @@ TEST(RuleHogwild, AllowsShardLocalDirtySetWrites) {
   EXPECT_EQ(CountRule(findings, kRuleHogwild), 0);
 }
 
+TEST(RuleHogwild, AllowsOwnedDirtySetWritesInDispatchedLambda) {
+  // The owned-slot shapes need no manual annotation inside a derived
+  // region either: a per-worker subscripted slot written in the dispatched
+  // lambda, and the DirtyRowSet* parameter of the helper it calls.
+  const auto findings = Lint({{"src/core/x.cc",
+                              "void Epoch(DirtyRowSet* dirty) {\n"
+                              "  dirty->Mark(u);\n"
+                              "}\n"
+                              "void Train() {\n"
+                              "  pool_->ParallelFor(0, n,"
+                              " [&](std::size_t s) {\n"
+                              "    worker_dirty_[s].Mark(u);\n"
+                              "    Epoch(&worker_dirty_[s]);\n"
+                              "  });\n"
+                              "}\n"}});
+  EXPECT_EQ(CountRule(findings, kRuleHogwild), 0);
+}
+
 // --- R8: actor-serve-readonly ----------------------------------------------
 
 TEST(RuleServeReadOnly, FiresOnMutatorCallsInEvalAndServe) {
@@ -1189,46 +1207,6 @@ TEST(RuleSnapshotEscape, TracksTheActorAccessor) {
             "}\n"}});
   ASSERT_EQ(CountRule(findings, kRuleSnapshotEscape), 1);
   EXPECT_EQ(findings[0].line, 4);
-}
-
-// --- Sharded subsystem (src/shard/) coverage --------------------------------
-
-TEST(ShardLint, HogwildPropagatesThroughPerShardDispatch) {
-  // src/shard/ is a HOGWILD auto-detect dir: the per-shard trainer
-  // dispatch seeds the region with zero annotations, and the raw row
-  // write inside the helper fires one hop away.
-  const auto findings = Lint({{"src/shard/x.cc",
-                              "void TrainShardEpoch(M& m, int s) {\n"
-                              "  m.row(u)[0] += 1.0f;\n"
-                              "}\n"
-                              "void TrainBatchSharded(M& m) {\n"
-                              "  pool_->ParallelFor(0, shards_,"
-                              " [&](std::size_t s) {\n"
-                              "    TrainShardEpoch(m,"
-                              " static_cast<int>(s));\n"
-                              "  });\n"
-                              "}\n"}});
-  ASSERT_EQ(CountRule(findings, kRuleHogwild), 1);
-  EXPECT_EQ(findings[0].file, "src/shard/x.cc");
-  EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(ShardLint, OwnedShardStateWritesAreClean) {
-  // The sharded trainer's write discipline needs no manual annotations:
-  // per-shard subscripted dirty slots, the threaded dirty parameter, and
-  // shard-local scratch are all recognized as single-writer shapes.
-  const auto findings = Lint({{"src/shard/x.cc",
-                              "void Epoch(DirtyRowSet* dirty) {\n"
-                              "  dirty->Mark(u);\n"
-                              "}\n"
-                              "void Train() {\n"
-                              "  pool_->ParallelFor(0, shards_,"
-                              " [&](std::size_t s) {\n"
-                              "    owned_dirty_[s].Mark(u);\n"
-                              "    Epoch(&owned_dirty_[s]);\n"
-                              "  });\n"
-                              "}\n"}});
-  EXPECT_EQ(CountRule(findings, kRuleHogwild), 0);
 }
 
 // --- Cache stamping ---------------------------------------------------------

@@ -128,8 +128,7 @@ namespace {
 /// True for files where pool-dispatch lambdas are auto-detected as HOGWILD
 /// regions (mirrors the per-file rule the v1 analyzer applied).
 bool AutoDetectDir(const std::string& path) {
-  return StartsWith(path, "src/embedding/") || StartsWith(path, "src/core/") ||
-         StartsWith(path, "src/shard/");
+  return StartsWith(path, "src/embedding/") || StartsWith(path, "src/core/");
 }
 
 /// Finds every ShardedRange/ParallelFor/Submit call in `code` and reports

@@ -66,9 +66,8 @@ struct SrcSpan {
 
 /// HOGWILD context, derived interprocedurally. Roots are the lambda
 /// literals passed to ShardedRange/ParallelFor/Submit in src/embedding/ +
-/// src/core/ + src/shard/ (dispatch_spans) and lambda variables passed to
-/// a dispatch by name (dispatch_seed_nodes). `hogwild_auto` marks every
-/// symbol reachable
+/// src/core/ (dispatch_spans) and lambda variables passed to a dispatch by
+/// name (dispatch_seed_nodes). `hogwild_auto` marks every symbol reachable
 /// from those roots through the call graph; `hogwild` additionally
 /// propagates from manual `// actor-lint: hogwild-region` annotation spans
 /// (the escape hatch for regions the automation cannot see).
