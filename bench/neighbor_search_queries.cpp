@@ -15,7 +15,7 @@
 #include "baselines/crossmap.h"
 #include "bench_common.h"
 #include "core/actor.h"
-#include "eval/neighbor_search.h"
+#include "serve/query_engine.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -70,9 +70,8 @@ int main(int argc, char** argv) {
       actor::TrainCrossMap(*data->graphs, crossmap_options);
   crossmap_model.status().CheckOK();
 
-  actor::NeighborSearcher actor_search(data->Snapshot(actor_model->center));
-  actor::NeighborSearcher crossmap_search(
-      data->Snapshot(crossmap_model->center));
+  actor::QueryEngine actor_search(data->Snapshot(actor_model->center));
+  actor::QueryEngine crossmap_search(data->Snapshot(crossmap_model->center));
 
   // Fig. 9: spatial query at the busiest venue ("port of Los Angeles" in
   // the paper).

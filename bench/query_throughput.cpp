@@ -11,7 +11,7 @@
 // live Ingest()+PublishSnapshot() writer (mode "concurrent_ingest"),
 // which exercises the SnapshotStore atomic slot under real contention.
 // A second section, "publish_cost", times the write side of the store:
-// microseconds per publish for the full-copy (delta_publish=false) path
+// microseconds per publish for a full copy (what a first publish costs)
 // vs the chunk-COW delta path at controlled dirty-row fractions.
 // See EXPERIMENTS.md for the machine-drift caveat before comparing
 // against committed numbers.
@@ -179,7 +179,7 @@ QueryRow MeasureConcurrentWithIngest(
 
 struct PublishRow {
   int dirty_pct = 0;
-  double full_us = 0.0;   // us/publish, full-copy (delta_publish=false) path
+  double full_us = 0.0;   // us/publish, full copy (a first publish)
   double delta_us = 0.0;  // us/publish, chunk-COW delta path
   double speedup = 0.0;   // full_us / delta_us
 };
@@ -388,7 +388,7 @@ int Main(int argc, char** argv) {
                 live_retention);
   out << buf;
   std::snprintf(buf, sizeof(buf),
-                "  \"delta_publish_speedup_10pct\": %.3f\n", speedup_10pct);
+                "  \"delta_speedup_10pct\": %.3f\n", speedup_10pct);
   out << buf;
   out << "}\n";
   out.flush();

@@ -14,9 +14,9 @@
 
 #include "core/actor.h"
 #include "eval/cross_modal_model.h"
-#include "eval/neighbor_search.h"
 #include "eval/pipeline.h"
 #include "eval/prediction.h"
+#include "serve/query_engine.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   // --- 5: a cross-modal neighbor query -------------------------------------
   // Ask for the words most associated with the first venue's location.
   const actor::GeoPoint venue = data.dataset.truth.venue_locations.front();
-  actor::NeighborSearcher searcher(snapshot);
+  actor::QueryEngine searcher(snapshot);
   auto neighbors =
       searcher.QueryByLocation(venue, actor::VertexType::kWord, 8);
   neighbors.status().CheckOK();

@@ -15,8 +15,8 @@
 #include <cstdio>
 
 #include "core/actor.h"
-#include "eval/neighbor_search.h"
 #include "eval/pipeline.h"
+#include "serve/query_engine.h"
 #include "util/flags.h"
 
 namespace {
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   auto model = actor::TrainActor(*data->graphs, options);
   model.status().CheckOK();
 
-  actor::NeighborSearcher search(data->Snapshot(model->center));
+  actor::QueryEngine search(data->Snapshot(model->center));
   const auto& truth = data->dataset.truth;
 
   // Pick the busiest venue as "the waterfront plaza everyone visits".

@@ -377,15 +377,4 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   return model;
 }
 
-std::shared_ptr<const ModelSnapshot> PublishActorModel(
-    const ActorModel& model, std::shared_ptr<const BuiltGraphs> graphs,
-    std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab) {
-  const uint64_t version = static_cast<uint64_t>(model.stats.edge_steps) +
-                           static_cast<uint64_t>(model.stats.record_steps);
-  return ModelSnapshot::FromBatch(model.center, &model.context,
-                                  std::move(graphs), std::move(hotspots),
-                                  std::move(vocab), version);
-}
-
 }  // namespace actor

@@ -2,12 +2,10 @@
 #define ACTOR_CORE_ACTOR_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "embedding/embedding_matrix.h"
 #include "embedding/line.h"
 #include "graph/graph_builder.h"
-#include "serve/model_snapshot.h"
 #include "util/result.h"
 
 namespace actor {
@@ -92,19 +90,6 @@ struct ActorModel {
 /// num_threads == 1.
 Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
                               const ActorOptions& options);
-
-/// Publish of a batch-trained model: copies center and context into an
-/// immutable ModelSnapshot that shares the graphs / hotspots / vocabulary
-/// it was trained against (vocab may be null when keyword lookup is not
-/// needed). The snapshot version is the model's total SGD step count
-/// (edge + record steps) — monotone within a training run, the batch
-/// analogue of the OnlineEdgeStore::version() scheme. Callers going
-/// through the eval pipeline usually use PreparedDataset::Snapshot()
-/// instead, which fills the shared structures in.
-std::shared_ptr<const ModelSnapshot> PublishActorModel(
-    const ActorModel& model, std::shared_ptr<const BuiltGraphs> graphs,
-    std::shared_ptr<const Hotspots> hotspots,
-    std::shared_ptr<const Vocabulary> vocab = nullptr);
 
 }  // namespace actor
 

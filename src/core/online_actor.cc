@@ -328,15 +328,15 @@ std::shared_ptr<const ModelSnapshot> OnlineActor::PublishSnapshot() {
     // cheap no-op at any cadence.
     return prev;
   }
-  const bool delta = options_.delta_publish && prev != nullptr;
   ChunkedMatrix center =
-      delta ? ChunkedMatrix::DeltaCopy(center_, prev->center(), dirty_)
-            : ChunkedMatrix::FullCopy(center_);
+      prev != nullptr
+          ? ChunkedMatrix::DeltaCopy(center_, prev->center(), dirty_)
+          : ChunkedMatrix::FullCopy(center_);
   // An unchanged unit count means no unit was added (the catalogue only
   // grows through AddUnit), so a delta publish shares the whole
   // catalogue state too.
   std::shared_ptr<const ModelSnapshot> snap =
-      delta && prev->num_units() == num_units()
+      prev != nullptr && prev->num_units() == num_units()
           ? prev->WithCenter(std::move(center), version)
           : ModelSnapshot::FromOnline(std::move(center), catalog_, version);
   // The new snapshot is exact, so nothing is dirty relative to it — the

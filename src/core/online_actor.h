@@ -60,16 +60,6 @@ struct OnlineActorOptions {
   /// batch reconstructs all samplers from scratch — the pre-port behavior,
   /// kept as an A/B lever for bench/online_throughput.
   bool incremental_sampler = true;
-
-  /// When true (default), PublishSnapshot() is a delta publish: only
-  /// chunks of the center matrix containing rows dirtied since the last
-  /// snapshot are copied, clean chunks and (when no unit was added) the
-  /// whole unit catalogue are shared with it (docs/serving.md). When
-  /// false, every publish is a full copy — bit-identical snapshot contents
-  /// and query results either way (locked in by serve_delta_publish_test);
-  /// kept as an A/B lever for bench/query_throughput's publish_cost
-  /// section.
-  bool delta_publish = true;
 };
 
 /// Streaming hierarchical cross-modal embedding: ingests record batches,
@@ -146,15 +136,16 @@ class OnlineActor {
 
   /// Publishes the current model as an immutable ModelSnapshot in unit-id
   /// order and installs it as the actor's current snapshot
-  /// (docs/serving.md). With delta_publish (default) the cost is
-  /// proportional to the rows the last batches touched — only 64-row
-  /// chunks holding a dirty row are copied, clean chunks and an unchanged
-  /// catalogue are shared with the previous snapshot; with
-  /// delta_publish=false every publish deep-copies O(units x dim). When
-  /// the model version is unchanged since the last publish (no Ingest() in
-  /// between) the already-published snapshot is returned as-is — a no-op
-  /// publish that copies nothing. Call from the ingest thread only (the same thread
-  /// that calls Ingest()); never concurrently with it.
+  /// (docs/serving.md). The first publish copies every row; every later
+  /// one is a delta publish whose cost is proportional to the rows the
+  /// last batches touched — only 64-row chunks holding a dirty row are
+  /// copied, clean chunks and an unchanged catalogue are shared with the
+  /// previous snapshot. The result is bit-identical to a full copy (the
+  /// serving tests compare the two). When the model version is unchanged
+  /// since the last publish (no Ingest() in between) the already-published
+  /// snapshot is returned as-is — a no-op publish that copies nothing.
+  /// Call from the ingest thread only (the same thread that calls
+  /// Ingest()); never concurrently with it.
   /// The snapshot version follows the OnlineEdgeStore::version() scheme:
   /// batches_ingested() plus the sum of the per-edge-type store versions,
   /// so any batch that changed the sampled distribution (and any batch at

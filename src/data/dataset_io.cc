@@ -1,6 +1,7 @@
 #include "data/dataset_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 
@@ -31,7 +32,9 @@ bool ParseDouble(const std::string& s, double* out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }
@@ -77,7 +80,8 @@ Result<Corpus> LoadCorpusTsv(const std::string& path) {
         !ParseDouble(fields[3], &rec.location.x) ||
         !ParseDouble(fields[4], &rec.location.y)) {
       return Status::InvalidArgument(
-          StrPrintf("%s:%zu: malformed numeric field", path.c_str(), line_no));
+          StrPrintf("%s:%zu: malformed or non-finite numeric field",
+                    path.c_str(), line_no));
     }
     if (!fields[5].empty()) {
       for (const auto& m : Split(fields[5], ',')) {

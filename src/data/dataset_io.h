@@ -15,7 +15,8 @@ namespace actor {
 Status SaveCorpusTsv(const Corpus& corpus, const std::string& path);
 
 /// Reads a corpus written by SaveCorpusTsv. Returns IOError on missing
-/// files and InvalidArgument on malformed rows.
+/// files and InvalidArgument, naming the line, on malformed rows —
+/// including a timestamp or coordinate that parses as nan or inf.
 Result<Corpus> LoadCorpusTsv(const std::string& path);
 
 }  // namespace actor

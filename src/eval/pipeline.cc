@@ -38,8 +38,7 @@ Result<PreparedDataset> PrepareDataset(const PipelineOptions& options,
 
 std::shared_ptr<const ModelSnapshot> PreparedDataset::Snapshot(
     const EmbeddingMatrix& center, uint64_t version) const {
-  return ModelSnapshot::FromBatch(center, /*context=*/nullptr, graphs,
-                                  hotspots, vocab, version);
+  return ModelSnapshot::FromBatch(center, graphs, hotspots, vocab, version);
 }
 
 PipelineOptions UTGeoPipeline(double scale) {

@@ -1,6 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -28,6 +29,16 @@ Result<BuiltGraphs> BuildGraphs(const TokenizedCorpus& corpus,
   if (hotspots.spatial.size() == 0 || hotspots.temporal.size() == 0) {
     return Status::InvalidArgument(
         "hotspot detection produced no spatial or temporal hotspots");
+  }
+  // A non-finite timestamp or location resolves to no hotspot (-1), which
+  // would index the hotspot vertex tables out of bounds.
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const TokenizedRecord& rec = corpus.record(i);
+    if (!std::isfinite(rec.timestamp) || !std::isfinite(rec.location.x) ||
+        !std::isfinite(rec.location.y)) {
+      return Status::InvalidArgument(StrPrintf(
+          "record %zu has a non-finite timestamp or location", i));
+    }
   }
   BuiltGraphs out;
 

@@ -59,7 +59,8 @@ struct BuiltGraphs {
 /// Constructs the activity graph and user interaction graph from a
 /// tokenized corpus and its detected hotspots. Edge weights are
 /// co-occurrence counts (activity graph) and mention counts (user graph).
-/// Both graphs are returned finalized.
+/// Both graphs are returned finalized. InvalidArgument, naming the record,
+/// when a record's timestamp or location is not finite.
 Result<BuiltGraphs> BuildGraphs(const TokenizedCorpus& corpus,
                                 const Hotspots& hotspots,
                                 const GraphBuildOptions& options = {});

@@ -50,7 +50,9 @@ int Grid2dIndex::CellIndex(double v) const {
 }
 
 int32_t Grid2dIndex::Nearest(const GeoPoint& query) const {
-  if (points_.empty()) return -1;
+  if (points_.empty() || !std::isfinite(query.x) || !std::isfinite(query.y)) {
+    return -1;
+  }
   const int cx = CellIndex(query.x);
   const int cy = CellIndex(query.y);
   int32_t best = -1;
@@ -82,23 +84,38 @@ int32_t Grid2dIndex::Nearest(const GeoPoint& query) const {
   const int jump_x = std::max({0, min_ix_ - cx, cx - max_ix_});
   const int jump_y = std::max({0, min_iy_ - cy, cy - max_iy_});
   const int first_ring = std::max(jump_x, jump_y);
-  for (int r = first_ring; r <= max_ring; ++r) {
-    if (best >= 0 &&
-        static_cast<double>(r - 1) * cell_ > best_dist) {
+  // Each ring's sides are clipped to the occupied box: the cells outside
+  // it are empty, and ties break by point index, so the result is the
+  // same while the work per ring is bounded by the box, not the ring.
+  // 64-bit ring coordinates: cx +- r can exceed int near the clamp.
+  const auto lo_x = static_cast<int64_t>(min_ix_);
+  const auto hi_x = static_cast<int64_t>(max_ix_);
+  const auto lo_y = static_cast<int64_t>(min_iy_);
+  const auto hi_y = static_cast<int64_t>(max_iy_);
+  auto visit_row = [&](int64_t iy, int64_t x0, int64_t x1) {
+    if (iy < lo_y || iy > hi_y) return;
+    for (int64_t ix = std::max(x0, lo_x); ix <= std::min(x1, hi_x); ++ix) {
+      visit_cell(static_cast<int>(ix), static_cast<int>(iy));
+    }
+  };
+  auto visit_column = [&](int64_t ix, int64_t y0, int64_t y1) {
+    if (ix < lo_x || ix > hi_x) return;
+    for (int64_t iy = std::max(y0, lo_y); iy <= std::min(y1, hi_y); ++iy) {
+      visit_cell(static_cast<int>(ix), static_cast<int>(iy));
+    }
+  };
+  for (int64_t r = first_ring; r <= max_ring; ++r) {
+    if (best >= 0 && static_cast<double>(r - 1) * cell_ > best_dist) {
       break;
     }
     if (r == 0) {
       visit_cell(cx, cy);
       continue;
     }
-    for (int ix = cx - r; ix <= cx + r; ++ix) {
-      visit_cell(ix, cy - r);
-      visit_cell(ix, cy + r);
-    }
-    for (int iy = cy - r + 1; iy <= cy + r - 1; ++iy) {
-      visit_cell(cx - r, iy);
-      visit_cell(cx + r, iy);
-    }
+    visit_row(cy - r, cx - r, cx + r);
+    visit_row(cy + r, cx - r, cx + r);
+    visit_column(cx - r, cy - r + 1, cy + r - 1);
+    visit_column(cx + r, cy - r + 1, cy + r - 1);
   }
   return best;
 }

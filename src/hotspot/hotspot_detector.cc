@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/string_util.h"
+
 namespace actor {
 
 int32_t NearestHour(const std::vector<double>& hours, double hour,
@@ -30,6 +32,12 @@ int32_t TemporalHotspots::Assign(double timestamp) const {
 
 Result<SpatialHotspots> DetectSpatialHotspots(
     const std::vector<GeoPoint>& locations, const MeanShiftOptions& options) {
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    if (!std::isfinite(locations[i].x) || !std::isfinite(locations[i].y)) {
+      return Status::InvalidArgument(
+          StrPrintf("record %zu has a non-finite location", i));
+    }
+  }
   ACTOR_ASSIGN_OR_RETURN(std::vector<GeoPoint> modes,
                          MeanShiftModes2d(locations, options));
   return SpatialHotspots(std::move(modes));
@@ -39,7 +47,13 @@ Result<TemporalHotspots> DetectTemporalHotspots(
     const std::vector<double>& timestamps, const MeanShiftOptions& options) {
   std::vector<double> hours;
   hours.reserve(timestamps.size());
-  for (double t : timestamps) hours.push_back(HourOfDay(t));
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    if (!std::isfinite(timestamps[i])) {
+      return Status::InvalidArgument(
+          StrPrintf("record %zu has a non-finite timestamp", i));
+    }
+    hours.push_back(HourOfDay(timestamps[i]));
+  }
   ACTOR_ASSIGN_OR_RETURN(std::vector<double> modes,
                          MeanShiftModes1dCircular(hours, 24.0, options));
   return TemporalHotspots(std::move(modes));

@@ -68,11 +68,13 @@ struct HotspotOptions {
   MeanShiftOptions temporal{/*bandwidth=*/0.75, /*merge_radius=*/0.5};
 };
 
-/// Runs spatial mean shift over record locations.
+/// Runs spatial mean shift over record locations. InvalidArgument, naming
+/// the record, when a location is not finite.
 Result<SpatialHotspots> DetectSpatialHotspots(
     const std::vector<GeoPoint>& locations, const MeanShiftOptions& options);
 
 /// Runs circular temporal mean shift over record hours-of-day.
+/// InvalidArgument, naming the record, when a timestamp is not finite.
 Result<TemporalHotspots> DetectTemporalHotspots(
     const std::vector<double>& timestamps, const MeanShiftOptions& options);
 

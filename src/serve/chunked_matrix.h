@@ -19,11 +19,11 @@ namespace actor {
 /// 32-byte alignment contract as EmbeddingMatrix (padding floats zero, so
 /// the SIMD kernels see the exact layout the flat matrix would give them).
 ///
-/// FullCopy() materializes every chunk (the first publish, and every
-/// publish under the delta_publish=false A/B lever). DeltaCopy() copies
-/// only chunks containing a dirty row and shares the rest with the
-/// previous snapshot's ChunkedMatrix, so publish cost is proportional to
-/// the rows the last batch touched, not the model. Shared chunks are safe
+/// FullCopy() materializes every chunk (a batch snapshot, and a streaming
+/// model's first publish). DeltaCopy() copies only chunks containing a
+/// dirty row and shares the rest with the previous snapshot's
+/// ChunkedMatrix, so publish cost is proportional to the rows the last
+/// batch touched, not the model. Shared chunks are safe
 /// because snapshots never mutate them: a later publish replaces chunk
 /// *pointers*, never chunk contents, so old versions stay immutable and
 /// queries stay lock-free.

@@ -41,17 +41,12 @@ ModelSnapshot::MakeCatalogState(OnlineCatalog catalog) {
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::FromBatch(
-    const EmbeddingMatrix& center, const EmbeddingMatrix* context,
-    std::shared_ptr<const BuiltGraphs> graphs,
+    const EmbeddingMatrix& center, std::shared_ptr<const BuiltGraphs> graphs,
     std::shared_ptr<const Hotspots> hotspots,
     std::shared_ptr<const Vocabulary> vocab, uint64_t version) {
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->version_ = version;
   snap->center_ = ChunkedMatrix::FullCopy(center);
-  if (context != nullptr) {
-    snap->context_ =
-        std::make_unique<ChunkedMatrix>(ChunkedMatrix::FullCopy(*context));
-  }
   snap->graphs_ = std::move(graphs);
   snap->hotspots_ = std::move(hotspots);
   snap->vocab_ = std::move(vocab);

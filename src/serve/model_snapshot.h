@@ -51,9 +51,9 @@ struct OnlineCatalog {
 };
 
 /// An immutable, versioned bundle of everything the read path needs to
-/// answer cross-modal queries: center (and optionally context) embeddings
-/// plus the unit catalogue that maps modality values (locations, times,
-/// words) to embedding rows.
+/// answer cross-modal queries: the center embeddings plus the unit
+/// catalogue that maps modality values (locations, times, words) to
+/// embedding rows.
 ///
 /// Snapshots are the serving boundary of the system (docs/serving.md).
 /// Trainers mutate their matrices in place (HOGWILD); queries never touch
@@ -61,22 +61,22 @@ struct OnlineCatalog {
 /// copied into an immutable ChunkedMatrix and the result is handed out
 /// through SnapshotStore's atomic shared_ptr slot. Two publish flavors
 /// share one storage layout:
-///   - full copy (every batch publish, and the online path's first
-///     publish or delta_publish=false A/B lever): every chunk is
-///     materialized, O(units x dim) per publish;
-///   - delta publish (online path): only chunks containing rows the
-///     trainer marked dirty since the previous snapshot are copied; every
-///     clean chunk — and the whole unit catalogue when no unit was added —
-///     is shared with the previous snapshot by shared_ptr, so publish cost
-///     is proportional to the ingest batch.
+///   - full copy (every batch snapshot, and the online path's first
+///     publish): every chunk is materialized, O(units x dim) per publish;
+///   - delta publish (every later online publish): only chunks containing
+///     rows the trainer marked dirty since the previous snapshot are
+///     copied; every clean chunk — and the whole unit catalogue when no
+///     unit was added — is shared with the previous snapshot by
+///     shared_ptr, so publish cost is proportional to the ingest batch.
 /// Either way a query holding a snapshot sees one consistent model
 /// version forever — later publishes swap chunk *pointers*, never chunk
 /// contents — and readers never block writers.
 ///
 /// Two factory paths cover the two trainers:
-///   - FromBatch: wraps a finished TrainActor model together with the
-///     batch pipeline's BuiltGraphs / Hotspots / Vocabulary (shared,
-///     immutable after construction by contract).
+///   - FromBatch: wraps a finished TrainActor model's center matrix
+///     together with the batch pipeline's BuiltGraphs / Hotspots /
+///     Vocabulary (shared, immutable after construction by contract);
+///     PreparedDataset::Snapshot fills these in.
 ///   - FromOnline / WithCenter: wraps a copy of OnlineActor's unit
 ///     catalogue — built by OnlineActor::PublishSnapshot.
 ///
@@ -87,13 +87,11 @@ struct OnlineCatalog {
 class ModelSnapshot {
  public:
   /// Publishes a batch-trained model. `center` is copied into chunked
-  /// storage; `context` likewise when non-null (most consumers only need
-  /// center). `graphs` and `hotspots` are required; `vocab` may be null,
+  /// storage. `graphs` and `hotspots` are required; `vocab` may be null,
   /// in which case KeywordVertex()/LookupWord() report every keyword as
   /// unknown. The shared structures must not be mutated after publishing.
   static std::shared_ptr<const ModelSnapshot> FromBatch(
-      const EmbeddingMatrix& center, const EmbeddingMatrix* context,
-      std::shared_ptr<const BuiltGraphs> graphs,
+      const EmbeddingMatrix& center, std::shared_ptr<const BuiltGraphs> graphs,
       std::shared_ptr<const Hotspots> hotspots,
       std::shared_ptr<const Vocabulary> vocab, uint64_t version);
 
@@ -110,17 +108,14 @@ class ModelSnapshot {
   std::shared_ptr<const ModelSnapshot> WithCenter(ChunkedMatrix center,
                                                   uint64_t version) const;
 
-  /// Monotonic model version. Batch snapshots are stamped by the trainer
-  /// (PublishActorModel uses the total SGD step count); online snapshots
-  /// use the OnlineEdgeStore::version() scheme (sum of the per-edge-type
-  /// store versions plus the batch count), so any Ingest() that changed
-  /// the model is visible as a version bump.
+  /// Monotonic model version. Batch snapshots carry the caller's stamp;
+  /// online snapshots use the OnlineEdgeStore::version() scheme (sum of
+  /// the per-edge-type store versions plus the batch count), so any
+  /// Ingest() that changed the model is visible as a version bump.
   uint64_t version() const { return version_; }
 
   /// The frozen center embeddings. One row per unit in the catalogue.
   const ChunkedMatrix& center() const { return center_; }
-  /// Frozen context embeddings; null unless the publisher included them.
-  const ChunkedMatrix* context() const { return context_.get(); }
   int32_t dim() const { return center_.dim(); }
   int32_t num_units() const { return center_.rows(); }
 
@@ -164,8 +159,7 @@ class ModelSnapshot {
       OnlineCatalog catalog);
 
   uint64_t version_ = 0;
-  ChunkedMatrix center_;                      // owned or chunk-shared
-  std::unique_ptr<ChunkedMatrix> context_;    // optional
+  ChunkedMatrix center_;  // owned or chunk-shared
 
   // Batch path: shared immutable structures from the eval pipeline.
   std::shared_ptr<const BuiltGraphs> graphs_;

@@ -52,48 +52,6 @@ BatchQuery BatchQuery::Vector(const float* query, VertexType result_type,
 QueryEngine::QueryEngine(std::shared_ptr<const ModelSnapshot> snapshot)
     : snapshot_(std::move(snapshot)) {}
 
-Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
-    const float* query, VertexType result_type, int k,
-    VertexId exclude) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const ModelSnapshot& snap = *snapshot_;
-  const ChunkedMatrix& center = snap.center();
-  const std::size_t dim = static_cast<std::size_t>(center.dim());
-  // One query against the whole type block: the query norm is fixed, so it
-  // is computed once here instead of once per row inside Cosine(). The
-  // per-row work is a single fused pass (dot + candidate norm).
-  const float query_norm = Norm2(query, dim);
-  std::vector<Neighbor> results;
-  for (VertexId v : snap.VerticesOfType(result_type)) {
-    if (v == exclude) continue;
-    float dot = 0.0f;
-    float norm2 = 0.0f;
-    DotAndNorm2(query, center.row(v), dim, &dot, &norm2);
-    const float row_norm = std::sqrt(norm2);
-    Neighbor n;
-    n.vertex = v;
-    n.similarity = (query_norm == 0.0f || row_norm == 0.0f)
-                       ? 0.0f
-                       : dot / (query_norm * row_norm);
-    results.push_back(std::move(n));
-  }
-  const std::size_t keep = std::min<std::size_t>(k, results.size());
-  // Ties break toward the lower unit id, making the top-k *set* a pure
-  // function of (snapshot, query, k) rather than of candidate scan order.
-  std::partial_sort(results.begin(), results.begin() + keep, results.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.similarity > b.similarity ||
-                             (a.similarity == b.similarity &&
-                              a.vertex < b.vertex);
-                    });
-  results.resize(keep);
-  for (auto& n : results) {
-    n.name = snap.vertex_name(n.vertex);
-    n.type = snap.vertex_type(n.vertex);
-  }
-  return results;
-}
-
 std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
     const std::vector<BatchQuery>& queries) const {
   const ModelSnapshot& snap = *snapshot_;
@@ -101,9 +59,10 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
   const std::size_t dim = static_cast<std::size_t>(center.dim());
   const std::size_t b = queries.size();
 
-  // Per-request resolution, running each sequential entry point's checks in
-  // the same order so error statuses (and their precedence over the k
-  // check) match QueryBy*() exactly.
+  // Per-request resolution. Error precedence: a non-finite location or
+  // hour, then an unresolvable modality value, then a non-finite query
+  // norm, then the k check. A rejected request leaves the others as they
+  // would be alone.
   struct Resolved {
     const float* query = nullptr;
     float query_norm = 0.0f;
@@ -118,6 +77,10 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
     VertexId v = kInvalidVertex;
     switch (q.kind) {
       case BatchQuery::Kind::kLocation:
+        if (!std::isfinite(q.location.x) || !std::isfinite(q.location.y)) {
+          errors[i] = Status::InvalidArgument("location must be finite");
+          continue;
+        }
         v = snap.SpatialVertex(q.location);
         if (v == kInvalidVertex) {
           errors[i] = Status::NotFound("no spatial hotspots available");
@@ -125,6 +88,10 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
         }
         break;
       case BatchQuery::Kind::kHour:
+        if (!std::isfinite(q.hour)) {
+          errors[i] = Status::InvalidArgument("hour must be finite");
+          continue;
+        }
         v = snap.TemporalVertexAtHour(q.hour);
         if (v == kInvalidVertex) {
           errors[i] = Status::NotFound("no temporal hotspots available");
@@ -149,34 +116,45 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
       case BatchQuery::Kind::kVector:
         break;
     }
-    if (q.k <= 0) {
-      errors[i] = Status::InvalidArgument("k must be positive");
-      continue;
-    }
     Resolved& r = resolved[i];
     r.query = v == kInvalidVertex ? q.vector : center.row(v);
     r.exclude = v == kInvalidVertex ? q.exclude : v;
     r.query_norm = Norm2(r.query, dim);
+    // A NaN similarity would break the top-k comparator's strict weak
+    // ordering, so a non-finite query never reaches the sweep.
+    if (!std::isfinite(r.query_norm)) {
+      errors[i] = Status::InvalidArgument("query vector must be finite");
+      continue;
+    }
+    if (q.k <= 0) {
+      errors[i] = Status::InvalidArgument("k must be positive");
+      continue;
+    }
     groups[static_cast<std::size_t>(q.result_type)].push_back(i);
   }
 
   // One sweep per populated type block: each candidate row streams through
-  // the blocked kernel once for the whole group. Computing a dot the
-  // sequential path would skip (a row excluded by one group member) is
-  // harmless — the value is simply not pushed for that member.
+  // the blocked kernel once for the whole group. A row excluded by one
+  // group member is still scored for the others; its dot is simply not
+  // pushed for that member.
   std::vector<const float*> qptrs;
   std::vector<float> dots;
   for (int t = 0; t < kNumVertexTypes; ++t) {
     const std::vector<std::size_t>& group =
         groups[static_cast<std::size_t>(t)];
     if (group.empty()) continue;
+    const std::vector<VertexId>& block =
+        snap.VerticesOfType(static_cast<VertexType>(t));
     const std::size_t gb = group.size();
     qptrs.resize(gb);
     dots.resize(gb);
     for (std::size_t jj = 0; jj < gb; ++jj) {
       qptrs[jj] = resolved[group[jj]].query;
+      // Sized up front: growing one candidate vector per row is what a
+      // one-request batch would otherwise pay on every query.
+      candidates[group[jj]].reserve(block.size());
     }
-    for (VertexId v : snap.VerticesOfType(static_cast<VertexType>(t))) {
+    for (VertexId v : block) {
       float norm2 = 0.0f;
       DotAndNorm2Batch(qptrs.data(), gb, center.row(v), dim, dots.data(),
                        &norm2);
@@ -194,8 +172,9 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
     }
   }
 
-  // Per-request top-k selection, identical to the sequential tail: same
-  // candidate order in, same comparator, same truncation.
+  // Per-request top-k selection. Ties break toward the lower unit id, so
+  // the top-k set is a pure function of (snapshot, query, k), not of
+  // candidate scan order or batch composition.
   std::vector<Result<std::vector<Neighbor>>> out;
   out.reserve(b);
   for (std::size_t i = 0; i < b; ++i) {
@@ -222,39 +201,33 @@ std::vector<Result<std::vector<Neighbor>>> QueryEngine::QueryBatch(
   return out;
 }
 
-Result<std::vector<Neighbor>> QueryEngine::QueryByVertex(
-    VertexId v, VertexType result_type, int k) const {
-  return QueryByVector(snapshot_->center().row(v), result_type, k, v);
-}
-
+// Each entry point is a one-request batch, so resolution, error precedence,
+// scoring and top-k exist once. The request vector is built in each body:
+// a query root may allocate at its boundary (docs/static-analysis.md, R10).
 Result<std::vector<Neighbor>> QueryEngine::QueryByLocation(
     const GeoPoint& location, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->SpatialVertex(location);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no spatial hotspots available");
-  }
-  return QueryByVertex(v, result_type, k);
+  return std::move(
+      QueryBatch({BatchQuery::Location(location, result_type, k)}).front());
 }
 
 Result<std::vector<Neighbor>> QueryEngine::QueryByHour(
     double hour, VertexType result_type, int k) const {
-  const VertexId v = snapshot_->TemporalVertexAtHour(hour);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("no temporal hotspots available");
-  }
-  return QueryByVertex(v, result_type, k);
+  return std::move(
+      QueryBatch({BatchQuery::Hour(hour, result_type, k)}).front());
 }
 
 Result<std::vector<Neighbor>> QueryEngine::QueryByKeyword(
     const std::string& keyword, VertexType result_type, int k) const {
-  const int32_t w = snapshot_->LookupWord(keyword);
-  if (w < 0) return Status::NotFound("keyword not in vocabulary: " + keyword);
-  const VertexId v = snapshot_->WordVertex(w);
-  if (v == kInvalidVertex) {
-    return Status::NotFound("keyword not present in the activity graph: " +
-                            keyword);
-  }
-  return QueryByVertex(v, result_type, k);
+  return std::move(
+      QueryBatch({BatchQuery::Keyword(keyword, result_type, k)}).front());
+}
+
+Result<std::vector<Neighbor>> QueryEngine::QueryByVector(
+    const float* query, VertexType result_type, int k,
+    VertexId exclude) const {
+  return std::move(
+      QueryBatch({BatchQuery::Vector(query, result_type, k, exclude)})
+          .front());
 }
 
 }  // namespace actor

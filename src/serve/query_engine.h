@@ -14,9 +14,8 @@ namespace actor {
 
 /// One cross-modal neighbor (paper §6.4): a unit of the requested type and
 /// its cosine similarity to the query. Top-k results order by similarity
-/// descending with ties broken by ascending unit id, in both the sequential
-/// and batched paths — an explicit total order, so the result set never
-/// depends on candidate scan order.
+/// descending with ties broken by ascending unit id — an explicit total
+/// order, so the result set never depends on candidate scan order.
 struct Neighbor {
   VertexId vertex = kInvalidVertex;
   std::string name;
@@ -24,11 +23,11 @@ struct Neighbor {
   double similarity = 0.0;
 };
 
-/// One request in a QueryEngine::QueryBatch() call: a tagged mirror of the
-/// four sequential entry points. Only the fields of the active `kind` are
-/// read. For Kind::kVector, `vector` must point at `dim` floats that
-/// outlive the QueryBatch() call; the factory helpers fill exactly the
-/// fields the kind needs.
+/// One request in a QueryEngine::QueryBatch() call, tagged with the entry
+/// point it stands for. Only the fields of the active `kind` are read. For
+/// Kind::kVector, `vector` must point at `dim` floats that outlive the
+/// QueryBatch() call; the factory helpers fill exactly the fields the kind
+/// needs.
 struct BatchQuery {
   enum class Kind { kLocation, kHour, kKeyword, kVector };
 
@@ -58,11 +57,12 @@ struct BatchQuery {
 /// be constructed from SnapshotStore::Acquire() and used while the trainer
 /// keeps ingesting: every query scores against the frozen copy, never the
 /// live matrices. All methods are const and thread-safe; results for a
-/// given snapshot are deterministic and bit-identical to the pre-snapshot
-/// NeighborSearcher (same accumulation order — the one-query-vs-matrix
-/// scoring loop hoists the query norm instead of recomputing it per row,
-/// and the fused DotAndNorm2 kernel preserves Dot/Norm2's reduction order
-/// per backend).
+/// given snapshot are deterministic and bit-identical to a per-row Cosine()
+/// scan (the query norm is hoisted out of the sweep, and DotAndNorm2Batch
+/// preserves Dot/Norm2's reduction order per backend).
+///
+/// There is one scoring path: each QueryBy*() call is a one-request
+/// QueryBatch().
 class QueryEngine {
  public:
   explicit QueryEngine(std::shared_ptr<const ModelSnapshot> snapshot);
@@ -70,13 +70,14 @@ class QueryEngine {
   const ModelSnapshot& snapshot() const { return *snapshot_; }
 
   /// Top-k units of `result_type` nearest to a geographic point (the point
-  /// is first snapped to its spatial hotspot, Fig. 9).
+  /// is first snapped to its spatial hotspot, Fig. 9). InvalidArgument for
+  /// a non-finite point.
   Result<std::vector<Neighbor>> QueryByLocation(const GeoPoint& location,
                                                 VertexType result_type,
                                                 int k) const;
 
   /// Top-k units nearest to an hour-of-day (snapped to its temporal
-  /// hotspot, Fig. 10).
+  /// hotspot, Fig. 10). InvalidArgument for a non-finite hour.
   Result<std::vector<Neighbor>> QueryByHour(double hour,
                                             VertexType result_type,
                                             int k) const;
@@ -89,6 +90,7 @@ class QueryEngine {
 
   /// Top-k units of `result_type` by cosine against an arbitrary query
   /// vector of the embedding dimension. `exclude` is omitted from results.
+  /// InvalidArgument when the query's norm is not finite.
   Result<std::vector<Neighbor>> QueryByVector(
       const float* query, VertexType result_type, int k,
       VertexId exclude = kInvalidVertex) const;
@@ -98,18 +100,15 @@ class QueryEngine {
   /// the whole group by the blocked DotAndNorm2Batch kernel, so each type
   /// block is swept once per batch (one snapshot acquire amortized over B
   /// requests by the caller) instead of once per request. Results come
-  /// back in request order and are identical — neighbor order, similarity
-  /// bits, and error statuses — to calling the matching QueryBy*() method
-  /// per request: the batched kernel preserves each query's per-backend
-  /// reduction order (locked in by serve_query_batch_test).
+  /// back in request order, and each is independent of the rest of the
+  /// batch — neighbor order, similarity bits and error status are those
+  /// of the same request sent alone: the batched kernel preserves each
+  /// query's per-backend reduction order (locked in by
+  /// serve_query_batch_test).
   std::vector<Result<std::vector<Neighbor>>> QueryBatch(
       const std::vector<BatchQuery>& queries) const;
 
  private:
-  Result<std::vector<Neighbor>> QueryByVertex(VertexId v,
-                                              VertexType result_type,
-                                              int k) const;
-
   std::shared_ptr<const ModelSnapshot> snapshot_;
 };
 

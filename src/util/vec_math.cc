@@ -71,27 +71,11 @@ void Add(const float* x, float* out, std::size_t n) {
 
 float Norm2(const float* x, std::size_t n) { return std::sqrt(Dot(x, x, n)); }
 
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2) {
-  // Two independent accumulator chains in one pass; each sees exactly the
-  // addend sequence its stand-alone Dot() loop would, so results are
-  // bit-identical to Dot(x, y, n) and Dot(y, y, n).
-  float acc = 0.0f;
-  float nn = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float yv = y[i];
-    acc += x[i] * yv;
-    nn += yv * yv;
-  }
-  *dot = acc;
-  *y_norm2 = nn;
-}
-
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2) {
-  // The norm chain is its own pass in the same addend order as Dot(y, y, n)
-  // (and DotAndNorm2's nn chain), so the result is bit-identical.
+  // The norm chain is its own pass in the same addend order as Dot(y, y, n),
+  // so the result is bit-identical.
   float nn = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
     const float yv = y[i];
@@ -183,19 +167,6 @@ void Add(const float* x, float* out, std::size_t n) {
 }
 
 float Norm2(const float* x, std::size_t n) { return std::sqrt(Dot(x, x, n)); }
-
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2) {
-  float acc = 0.0f;
-  float nn = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float yv = RelaxedLoad(y + i);
-    acc += RelaxedLoad(x + i) * yv;
-    nn += yv * yv;
-  }
-  *dot = acc;
-  *y_norm2 = nn;
-}
 
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
@@ -366,47 +337,12 @@ ACTOR_AVX2_TARGET static inline void DotPair(const float* y, const float* qa,
   out[1] = acc_b;
 }
 
-ACTOR_AVX2_TARGET void DotAndNorm2(const float* x, const float* y,
-                                   std::size_t n, float* dot,
-                                   float* y_norm2) {
-  // Mirrors Dot()'s dual-accumulator 16-wide structure for both chains, so
-  // each result is bit-identical to the corresponding stand-alone Dot().
-  __m256 d0 = _mm256_setzero_ps();
-  __m256 d1 = _mm256_setzero_ps();
-  __m256 n0 = _mm256_setzero_ps();
-  __m256 n1 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 ylo = _mm256_loadu_ps(y + i);
-    const __m256 yhi = _mm256_loadu_ps(y + i + 8);
-    d0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), ylo, d0);
-    d1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i + 8), yhi, d1);
-    n0 = _mm256_fmadd_ps(ylo, ylo, n0);
-    n1 = _mm256_fmadd_ps(yhi, yhi, n1);
-  }
-  if (i + 8 <= n) {
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    d0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), yv, d0);
-    n0 = _mm256_fmadd_ps(yv, yv, n0);
-    i += 8;
-  }
-  float acc = HorizontalSum(_mm256_add_ps(d0, d1));
-  float nn = HorizontalSum(_mm256_add_ps(n0, n1));
-  for (; i < n; ++i) {
-    const float yv = y[i];
-    acc += x[i] * yv;
-    nn += yv * yv;
-  }
-  *dot = acc;
-  *y_norm2 = nn;
-}
-
 ACTOR_AVX2_TARGET void DotAndNorm2Batch(const float* const* queries,
                                         std::size_t b, const float* y,
                                         std::size_t n, float* dots,
                                         float* y_norm2) {
-  // Norm chain first, mirroring DotAndNorm2's n0/n1 structure — identical
-  // to Dot(y, y, n) bit for bit.
+  // Norm chain first, mirroring Dot()'s dual-accumulator 16-wide structure
+  // — identical to Dot(y, y, n) bit for bit.
   __m256 n0 = _mm256_setzero_ps();
   __m256 n1 = _mm256_setzero_ps();
   std::size_t i = 0;
@@ -580,7 +516,6 @@ struct KernelTable {
   void (*scale)(float, float*, std::size_t);
   void (*add)(const float*, float*, std::size_t);
   float (*norm2)(const float*, std::size_t);
-  void (*dot_norm2)(const float*, const float*, std::size_t, float*, float*);
   void (*dot_norm2_batch)(const float* const*, std::size_t, const float*,
                           std::size_t, float*, float*);
   void (*fused)(float, const float*, float*, float*, std::size_t);
@@ -592,7 +527,7 @@ struct KernelTable {
 #define ACTOR_KERNEL_TABLE(ns)                                           \
   KernelTable {                                                          \
     &ns::Dot, &ns::Axpy, &ns::Scale, &ns::Add, &ns::Norm2,               \
-        &ns::DotAndNorm2, &ns::DotAndNorm2Batch, &ns::FusedGradStep,     \
+        &ns::DotAndNorm2Batch, &ns::FusedGradStep,                       \
         &ns::NegativeSamplingStep                                        \
   }
 constexpr KernelTable kScalarKernels = ACTOR_KERNEL_TABLE(scalar);
@@ -692,11 +627,6 @@ float Cosine(const float* x, const float* y, std::size_t n) {
   const float ny = Norm2(y, n);
   if (nx == 0.0f || ny == 0.0f) return 0.0f;
   return Dot(x, y, n) / (nx * ny);
-}
-
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2) {
-  g_kernels.dot_norm2(x, y, n, dot, y_norm2);
 }
 
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,

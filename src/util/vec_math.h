@@ -68,16 +68,6 @@ void NormalizeInPlace(float* x, std::size_t n);
 /// Cosine similarity; 0 when either vector is all-zero.
 float Cosine(const float* x, const float* y, std::size_t n);
 
-/// Fused one-query-vs-row scoring pass: in a single sweep over y,
-///   *dot     = Dot(x, y, n)
-///   *y_norm2 = Dot(y, y, n)   (the *squared* L2 norm of y)
-/// Each accumulator chain runs the exact reduction order of the separate
-/// Dot() calls in the same backend, so dot / (Norm2(x) * sqrt(y_norm2)) is
-/// bit-identical to Cosine(x, y, n) — which is how QueryEngine hoists the
-/// query norm out of its top-k loop without changing a single result bit.
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2);
-
 /// Blocked many-queries-vs-one-row scoring pass: scores one candidate row y
 /// against a block of b query vectors,
 ///   dots[j]  = Dot(queries[j], y, n)   for j < b
@@ -86,10 +76,10 @@ void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
 /// behind QueryEngine::QueryBatch, where the candidate row streams from
 /// memory while the query block stays cache-resident. Every per-query
 /// accumulator chain runs the exact reduction order of the stand-alone
-/// Dot() in the same backend (and the y_norm2 chain matches DotAndNorm2's),
-/// so each dots[j] / (Norm2(queries[j]) * sqrt(y_norm2)) is bit-identical
-/// to the sequential one-query path. b == 0 is allowed and still fills
-/// y_norm2.
+/// Dot() in the same backend, and so does the y_norm2 chain, so each
+/// dots[j] / (Norm2(queries[j]) * sqrt(y_norm2)) is bit-identical to
+/// Cosine(queries[j], y, n) — at any b, including b == 1. b == 0 is allowed
+/// and still fills y_norm2.
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);
@@ -139,8 +129,6 @@ void Axpy(float a, const float* x, float* y, std::size_t n);
 void Scale(float a, float* x, std::size_t n);
 void Add(const float* x, float* out, std::size_t n);
 float Norm2(const float* x, std::size_t n);
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2);
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);
@@ -183,8 +171,6 @@ void Axpy(float a, const float* x, float* y, std::size_t n);
 void Scale(float a, float* x, std::size_t n);
 void Add(const float* x, float* out, std::size_t n);
 float Norm2(const float* x, std::size_t n);
-void DotAndNorm2(const float* x, const float* y, std::size_t n, float* dot,
-                 float* y_norm2);
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);

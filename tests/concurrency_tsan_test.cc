@@ -302,7 +302,6 @@ TEST(ConcurrencyTsanTest, DeltaPublishQueryDuringIngest) {
   OnlineActorOptions options;
   options.dim = 16;
   options.samples_per_edge_per_batch = 2.0;
-  options.delta_publish = true;  // explicit: this is the delta smoke
   auto model = OnlineActor::Create(options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->Ingest(batches[0]).ok());

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "data/synthetic.h"
 
@@ -102,6 +103,22 @@ TEST_F(DataIoTest, MalformedNumberIsError) {
   out.close();
   auto loaded = LoadCorpusTsv(path_);
   EXPECT_TRUE(loaded.status().IsInvalidArgument());
+}
+
+TEST_F(DataIoTest, NonFiniteNumberIsErrorNamingTheLine) {
+  // strtod accepts "nan" and "inf"; the loader must not.
+  for (const char* row : {"1\t2\tnan\t1.0\t1.0\t\ttext\n",
+                          "1\t2\t3.0\tinf\t1.0\t\ttext\n",
+                          "1\t2\t3.0\t1.0\t-INF\t\ttext\n",
+                          "1\t2\t3.0\t1.0\tNaN\t\ttext\n"}) {
+    std::ofstream out(path_);
+    out << "1\t2\t3.0\t1.0\t1.0\t\tfine\n" << row;
+    out.close();
+    auto loaded = LoadCorpusTsv(path_);
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << row;
+    EXPECT_NE(loaded.status().message().find(":2:"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(DataIoTest, MalformedMentionIsError) {

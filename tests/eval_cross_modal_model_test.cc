@@ -62,8 +62,7 @@ class CrossModalModelTest : public ::testing::Test {
     for (VertexId w : units1.word_units) set_unit(w, 0.0f, 1.0f);
     // Publish after the handcrafted vectors are in place: the snapshot
     // deep-copies the matrix at this point.
-    snapshot_ = ModelSnapshot::FromBatch(*center_, /*context=*/nullptr,
-                                         graphs_, hotspots_,
+    snapshot_ = ModelSnapshot::FromBatch(*center_, graphs_, hotspots_,
                                          /*vocab=*/nullptr, /*version=*/1);
   }
   static void TearDownTestSuite() {

@@ -1,4 +1,4 @@
-#include "eval/neighbor_search.h"
+#include "serve/query_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -32,8 +32,8 @@ class NeighborSearchTest : public ::testing::Test {
     data_ = nullptr;
   }
 
-  NeighborSearcher MakeSearcher() {
-    return NeighborSearcher(data_->Snapshot(model_->center));
+  QueryEngine MakeSearcher() {
+    return QueryEngine(data_->Snapshot(model_->center));
   }
 
   static PreparedDataset* data_;
@@ -44,7 +44,7 @@ PreparedDataset* NeighborSearchTest::data_ = nullptr;
 ActorModel* NeighborSearchTest::model_ = nullptr;
 
 TEST_F(NeighborSearchTest, LocationQueryReturnsWords) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   auto result = searcher.QueryByLocation({20, 20}, VertexType::kWord, 5);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 5u);
@@ -55,7 +55,7 @@ TEST_F(NeighborSearchTest, LocationQueryReturnsWords) {
 }
 
 TEST_F(NeighborSearchTest, ResultsSortedDescending) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   auto result = searcher.QueryByLocation({10, 10}, VertexType::kWord, 10);
   ASSERT_TRUE(result.ok());
   for (std::size_t i = 1; i < result->size(); ++i) {
@@ -64,7 +64,7 @@ TEST_F(NeighborSearchTest, ResultsSortedDescending) {
 }
 
 TEST_F(NeighborSearchTest, HourQueryReturnsRequestedType) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   auto words = searcher.QueryByHour(21.0, VertexType::kWord, 6);
   ASSERT_TRUE(words.ok());
   EXPECT_EQ(words->size(), 6u);
@@ -76,7 +76,7 @@ TEST_F(NeighborSearchTest, HourQueryReturnsRequestedType) {
 }
 
 TEST_F(NeighborSearchTest, KeywordQueryExcludesSelf) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   // Pick a word known to be in the vocabulary.
   const std::string keyword = data_->full.vocab().word(0);
   auto result = searcher.QueryByKeyword(keyword, VertexType::kWord, 10);
@@ -87,7 +87,7 @@ TEST_F(NeighborSearchTest, KeywordQueryExcludesSelf) {
 }
 
 TEST_F(NeighborSearchTest, UnknownKeywordIsNotFound) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   EXPECT_TRUE(searcher
                   .QueryByKeyword("definitely_not_a_word", VertexType::kWord,
                                   5)
@@ -96,14 +96,14 @@ TEST_F(NeighborSearchTest, UnknownKeywordIsNotFound) {
 }
 
 TEST_F(NeighborSearchTest, BadKRejected) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   EXPECT_TRUE(searcher.QueryByLocation({0, 0}, VertexType::kWord, 0)
                   .status()
                   .IsInvalidArgument());
 }
 
 TEST_F(NeighborSearchTest, KLargerThanTypeCount) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   const std::size_t n_time =
       data_->graphs->activity.VerticesOfType(VertexType::kTime).size();
   auto result =
@@ -113,7 +113,7 @@ TEST_F(NeighborSearchTest, KLargerThanTypeCount) {
 }
 
 TEST_F(NeighborSearchTest, SimilaritiesWithinBounds) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   auto result = searcher.QueryByHour(9.0, VertexType::kWord, 20);
   ASSERT_TRUE(result.ok());
   for (const auto& n : *result) {
@@ -125,7 +125,7 @@ TEST_F(NeighborSearchTest, SimilaritiesWithinBounds) {
 TEST_F(NeighborSearchTest, VenueKeywordNearItsVenueLocation) {
   // The generator plants venue name keywords; querying a busy venue's
   // location should surface venue/topic words with positive similarity.
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   // Most frequent venue among records.
   std::vector<int> counts(data_->dataset.truth.venue_locations.size(), 0);
   for (int v : data_->dataset.truth.record_venues) ++counts[v];
@@ -139,7 +139,7 @@ TEST_F(NeighborSearchTest, VenueKeywordNearItsVenueLocation) {
 }
 
 TEST_F(NeighborSearchTest, QueryByVectorMatchesVertexQuery) {
-  NeighborSearcher searcher = MakeSearcher();
+  QueryEngine searcher = MakeSearcher();
   // Query by a word's own vector: top hit should be similar to keyword
   // query results for that word.
   const std::string keyword = data_->full.vocab().word(1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "data/corpus.h"
 
 namespace actor {
@@ -200,6 +203,32 @@ TEST(GraphBuilderTest, EmptyCorpusRejected) {
   Hotspots hotspots;
   EXPECT_TRUE(
       BuildGraphs(empty, hotspots).status().IsInvalidArgument());
+}
+
+TEST(GraphBuilderTest, NonFiniteRecordIsErrorNamingTheRecord) {
+  // Hotspots from a clean corpus; a non-finite record resolves to no
+  // hotspot, which must not index the vertex tables.
+  const BuiltFixture clean = BuildFig1();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int field = 0; field < 3; ++field) {
+    Corpus c = Fig1Corpus();
+    RawRecord r;
+    r.id = 2;
+    r.user_id = 300;
+    r.timestamp = field == 0 ? nan : 3600.0;
+    r.location = {field == 1 ? inf : 5.0, field == 2 ? nan : 5.0};
+    r.text = "movie planet";
+    c.Add(r);
+    CorpusBuildOptions build;
+    build.min_word_count = 1;
+    auto corpus = TokenizedCorpus::Build(c, build);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    auto graphs = BuildGraphs(*corpus, clean.hotspots);
+    EXPECT_TRUE(graphs.status().IsInvalidArgument()) << "field " << field;
+    EXPECT_NE(graphs.status().message().find("record 2"), std::string::npos)
+        << graphs.status().ToString();
+  }
 }
 
 TEST(GraphBuilderTest, DuplicateWordsInRecordNoSelfLoop) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "data/synthetic.h"
 #include "util/rng.h"
 
@@ -41,6 +44,30 @@ TEST(TemporalHotspotsTest, AssignFromTimestamp) {
 TEST(TemporalHotspotsTest, AssignEmptyIsMinusOne) {
   TemporalHotspots hotspots({});
   EXPECT_EQ(hotspots.Assign(0.0), -1);
+}
+
+TEST(DetectHotspotsTest, NonFiniteLocationIsErrorNamingTheRecord) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const GeoPoint& bad : {GeoPoint{nan, 1.0}, GeoPoint{1.0, inf}}) {
+    auto hotspots = DetectSpatialHotspots({{0.0, 0.0}, bad, {2.0, 2.0}},
+                                          MeanShiftOptions{});
+    EXPECT_TRUE(hotspots.status().IsInvalidArgument());
+    EXPECT_NE(hotspots.status().message().find("record 1"), std::string::npos)
+        << hotspots.status().ToString();
+  }
+}
+
+TEST(DetectHotspotsTest, NonFiniteTimestampIsErrorNamingTheRecord) {
+  // Mean shift on the hour circle would cast the NaN hour to a bin index.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     -std::numeric_limits<double>::infinity()}) {
+    auto hotspots = DetectTemporalHotspots({3 * 3600.0, bad, 4 * 3600.0},
+                                           MeanShiftOptions{});
+    EXPECT_TRUE(hotspots.status().IsInvalidArgument());
+    EXPECT_NE(hotspots.status().message().find("record 1"), std::string::npos)
+        << hotspots.status().ToString();
+  }
 }
 
 TEST(DetectHotspotsTest, FindsVenueAndTimeStructure) {

@@ -50,6 +50,30 @@ TEST(GridIndexTest, FarQueryOutsideGrid) {
   EXPECT_EQ(index.Nearest({500, 500}), 1);
 }
 
+TEST(GridIndexTest, VeryFarQueryCostIsBoundedByTheOccupiedBox) {
+  // 1e12 km is past the cell-index clamp; each ring is clipped to the
+  // occupied box, so the walk visits O(box) cells instead of O(ring).
+  std::vector<GeoPoint> points = {{0, 0}, {10, 0}, {0, 10}};
+  Grid2dIndex index(points);
+  const GeoPoint east{1e12, 5};
+  EXPECT_EQ(index.Nearest(east), 1);
+  for (const GeoPoint& q : {east, GeoPoint{-1e12, 3}, GeoPoint{4, 1e12},
+                            GeoPoint{1e12, -1e12}}) {
+    EXPECT_EQ(index.Nearest(q), BruteNearest(points, q))
+        << q.x << "," << q.y;
+  }
+}
+
+TEST(GridIndexTest, NonFiniteQueryReturnsMinusOne) {
+  Grid2dIndex index({{0, 0}, {10, 0}, {0, 10}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(index.Nearest({nan, 0}), -1);
+  EXPECT_EQ(index.Nearest({0, nan}), -1);
+  EXPECT_EQ(index.Nearest({inf, 0}), -1);
+  EXPECT_EQ(index.Nearest({0, -inf}), -1);
+}
+
 class GridIndexPropertySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GridIndexPropertySweep, MatchesBruteForce) {

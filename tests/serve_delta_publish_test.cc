@@ -1,6 +1,6 @@
-// Delta publish (dirty-row tracking + chunk-COW snapshots): the
-// delta_publish=false A/B lever must be bit-identical to the delta path
-// in snapshot contents AND query results; clean chunks must actually be
+// Delta publish (dirty-row tracking + chunk-COW snapshots): every delta
+// publish must be bit-identical to a full copy of the live model in
+// snapshot contents AND query results; clean chunks must actually be
 // shared; versions stay monotone under interleaved publishes from both
 // trainers; and a snapshot handle stays frozen while later deltas land.
 
@@ -77,34 +77,33 @@ bool SameNeighbors(const std::vector<Neighbor>& a,
   return true;
 }
 
-// --- The A/B lever: delta publishes are bit-identical to full copies -------
+// --- Delta publishes are bit-identical to full copies ----------------------
 
 TEST(DeltaPublishABTest, OnlineDeltaMatchesFullCopyBitIdentical) {
-  // Two actors, same seed, same stream, sequential (bit-deterministic)
-  // training; only the publish flavor differs. Every published snapshot
-  // must agree bit-for-bit: same version, same matrix contents, same
-  // query results. This is what lets delta_publish default to true.
+  // After every batch, the published (delta after the first) snapshot must
+  // agree bit-for-bit with a full copy of the live model: same matrix
+  // contents, same catalogue, same query results.
   const auto batches = MakeBatches(900, 4);
-  OnlineActorOptions delta_opts = FastOnlineOptions();
-  delta_opts.delta_publish = true;
-  OnlineActorOptions full_opts = FastOnlineOptions();
-  full_opts.delta_publish = false;
-  auto delta_model = OnlineActor::Create(delta_opts);
-  auto full_model = OnlineActor::Create(full_opts);
-  ASSERT_TRUE(delta_model.ok());
-  ASSERT_TRUE(full_model.ok());
+  auto model = OnlineActor::Create(FastOnlineOptions());
+  ASSERT_TRUE(model.ok());
 
   const GeoPoint probe = batches[0].front().location;
+  const std::size_t dim = static_cast<std::size_t>(model->center().dim());
   for (const auto& batch : batches) {
-    ASSERT_TRUE(delta_model->Ingest(batch).ok());
-    ASSERT_TRUE(full_model->Ingest(batch).ok());
-    auto ds = delta_model->PublishSnapshot();
-    auto fs = full_model->PublishSnapshot();
+    ASSERT_TRUE(model->Ingest(batch).ok());
+    auto ds = model->PublishSnapshot();
     ASSERT_NE(ds, nullptr);
-    ASSERT_NE(fs, nullptr);
-    EXPECT_EQ(ds->version(), fs->version());
+    auto fs = ModelSnapshot::FromOnline(
+        ChunkedMatrix::FullCopy(model->center()), model->catalog(),
+        ds->version());
     EXPECT_EQ(ds->num_units(), fs->num_units());
     EXPECT_TRUE(SameMatrix(ds->center(), fs->center()));
+    for (VertexId v = 0; v < ds->num_units(); ++v) {
+      EXPECT_EQ(std::memcmp(ds->center().row(v), model->center().row(v),
+                            sizeof(float) * dim),
+                0)
+          << "row " << v << " differs from the live model";
+    }
     for (VertexId v = 0; v < ds->num_units(); ++v) {
       EXPECT_EQ(ds->vertex_type(v), fs->vertex_type(v));
       EXPECT_EQ(ds->vertex_name(v), fs->vertex_name(v));
@@ -252,8 +251,9 @@ TEST(DeltaPublishTest, InterleavedTrainerPublishesStayMonotonePerTrainer) {
 
   SnapshotStore store;
   // Batch publish (always a full copy).
-  auto batch_snap = PublishActorModel(*batch_model, prepared->graphs,
-                                      prepared->hotspots, prepared->vocab);
+  auto batch_snap = ModelSnapshot::FromBatch(
+      batch_model->center, prepared->graphs, prepared->hotspots,
+      prepared->vocab, /*version=*/1);
   ASSERT_NE(batch_snap, nullptr);
   store.Publish(batch_snap);
   EXPECT_EQ(store.Acquire().get(), batch_snap.get());

@@ -1,5 +1,5 @@
 // QueryEngine regression tests: results must be bit-identical to the
-// pre-snapshot NeighborSearcher algorithm (per-row Cosine() + partial
+// pre-snapshot neighbor-search algorithm (per-row Cosine() + partial
 // sort), including the hoisted-query-norm fused scoring path, and the
 // engine must keep its snapshot alive on its own.
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/actor.h"
@@ -139,26 +141,12 @@ TEST_F(BatchSnapshotTest, CatalogueMatchesActivityGraph) {
   }
 }
 
-TEST_F(BatchSnapshotTest, PublishActorModelStampsStepVersionAndContext) {
-  auto snap = PublishActorModel(*model_, data_->graphs, data_->hotspots,
-                                data_->vocab);
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->version(),
-            static_cast<uint64_t>(model_->stats.edge_steps) +
-                static_cast<uint64_t>(model_->stats.record_steps));
-  ASSERT_NE(snap->context(), nullptr);
-  EXPECT_EQ(snap->context()->rows(), model_->context.rows());
-  EXPECT_EQ(snap->context()->row(0)[0], model_->context.row(0)[0]);
-  EXPECT_TRUE(snap->has_vocab());
-}
-
 TEST_F(BatchSnapshotTest, NullVocabMakesKeywordsUnknown) {
-  auto snap = ModelSnapshot::FromBatch(model_->center, /*context=*/nullptr,
-                                       data_->graphs, data_->hotspots,
-                                       /*vocab=*/nullptr, /*version=*/1);
+  auto snap = ModelSnapshot::FromBatch(model_->center, data_->graphs,
+                                       data_->hotspots, /*vocab=*/nullptr,
+                                       /*version=*/1);
   EXPECT_FALSE(snap->has_vocab());
   EXPECT_EQ(snap->LookupWord(data_->full.vocab().word(0)), -1);
-  EXPECT_EQ(snap->context(), nullptr);
 }
 
 // --- Online path -----------------------------------------------------------
@@ -266,6 +254,109 @@ TEST(OnlineSnapshotTest, HandleScoresIdenticallyAfterFurtherIngest) {
   for (std::size_t i = 0; i < before->size(); ++i) {
     EXPECT_EQ((*before)[i].vertex, (*after)[i].vertex);
     EXPECT_EQ((*before)[i].similarity, (*after)[i].similarity);
+  }
+}
+
+// --- Non-finite query input ------------------------------------------------
+// A non-finite location, hour or query vector is InvalidArgument on both
+// snapshot flavours, ahead of the k check; it never reaches hotspot
+// resolution or the top-k sort.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void ExpectNonFiniteRejected(const Result<std::vector<Neighbor>>& r) {
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("finite"), std::string::npos)
+      << r.status().ToString();
+}
+
+void ExpectRejectsNonFiniteLocations(const QueryEngine& engine) {
+  for (const GeoPoint& p : {GeoPoint{kNaN, 0.0}, GeoPoint{0.0, kNaN},
+                            GeoPoint{kInf, 0.0}, GeoPoint{0.0, -kInf}}) {
+    ExpectNonFiniteRejected(engine.QueryByLocation(p, VertexType::kWord, 5));
+    ExpectNonFiniteRejected(engine.QueryByLocation(p, VertexType::kWord, 0));
+  }
+}
+
+void ExpectRejectsNonFiniteHours(const QueryEngine& engine) {
+  for (double hour : {kNaN, kInf, -kInf}) {
+    ExpectNonFiniteRejected(engine.QueryByHour(hour, VertexType::kWord, 5));
+    ExpectNonFiniteRejected(engine.QueryByHour(hour, VertexType::kWord, 0));
+  }
+}
+
+void ExpectRejectsNonFiniteVectors(const QueryEngine& engine) {
+  const ModelSnapshot& snap = engine.snapshot();
+  for (float bad : {static_cast<float>(kNaN), static_cast<float>(kInf)}) {
+    std::vector<float> query(snap.center().row(0),
+                             snap.center().row(0) + snap.dim());
+    query[static_cast<std::size_t>(snap.dim()) - 1] = bad;
+    ExpectNonFiniteRejected(
+        engine.QueryByVector(query.data(), VertexType::kWord, 5));
+    ExpectNonFiniteRejected(
+        engine.QueryByVector(query.data(), VertexType::kWord, 0));
+  }
+}
+
+std::shared_ptr<const ModelSnapshot> OnlineQuerySnapshot() {
+  auto actor = OnlineActor::Create(FastOnlineOptions());
+  EXPECT_TRUE(actor.ok());
+  EXPECT_TRUE(actor->Ingest(MakeBatches(500, 1)[0]).ok());
+  return actor->PublishSnapshot();
+}
+
+TEST_F(BatchSnapshotTest, QueryRejectsNonFiniteLocation) {
+  ExpectRejectsNonFiniteLocations(QueryEngine(data_->Snapshot(model_->center)));
+}
+
+TEST_F(BatchSnapshotTest, QueryRejectsNonFiniteHour) {
+  ExpectRejectsNonFiniteHours(QueryEngine(data_->Snapshot(model_->center)));
+}
+
+TEST_F(BatchSnapshotTest, QueryRejectsNonFiniteVector) {
+  ExpectRejectsNonFiniteVectors(QueryEngine(data_->Snapshot(model_->center)));
+}
+
+TEST(OnlineSnapshotTest, QueryRejectsNonFiniteLocation) {
+  ExpectRejectsNonFiniteLocations(QueryEngine(OnlineQuerySnapshot()));
+}
+
+TEST(OnlineSnapshotTest, QueryRejectsNonFiniteHour) {
+  ExpectRejectsNonFiniteHours(QueryEngine(OnlineQuerySnapshot()));
+}
+
+TEST(OnlineSnapshotTest, QueryRejectsNonFiniteVector) {
+  ExpectRejectsNonFiniteVectors(QueryEngine(OnlineQuerySnapshot()));
+}
+
+TEST(OnlineSnapshotTest, NonFiniteRequestLeavesTheRestOfABatchUnchanged) {
+  const QueryEngine engine(OnlineQuerySnapshot());
+  const ModelSnapshot& snap = engine.snapshot();
+  const GeoPoint probe = MakeBatches(500, 1)[0].front().location;
+  const std::vector<float> query(snap.center().row(1),
+                                 snap.center().row(1) + snap.dim());
+  const auto results = engine.QueryBatch(
+      {BatchQuery::Location(probe, VertexType::kWord, 6),
+       BatchQuery::Location({kNaN, probe.y}, VertexType::kWord, 6),
+       BatchQuery::Hour(9.5, VertexType::kWord, 4),
+       BatchQuery::Vector(query.data(), VertexType::kWord, 5, 1)});
+  ASSERT_EQ(results.size(), 4u);
+  ExpectNonFiniteRejected(results[1]);
+  const std::vector<Result<std::vector<Neighbor>>> alone = {
+      engine.QueryByLocation(probe, VertexType::kWord, 6),
+      engine.QueryByHour(9.5, VertexType::kWord, 4),
+      engine.QueryByVector(query.data(), VertexType::kWord, 5, 1)};
+  const std::size_t good[] = {0, 2, 3};  // the batch slots of `alone`
+  for (std::size_t i = 0; i < alone.size(); ++i) {
+    const auto& got = results[good[i]];
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(alone[i].ok()) << alone[i].status().ToString();
+    ASSERT_EQ(got->size(), alone[i]->size());
+    for (std::size_t j = 0; j < got->size(); ++j) {
+      EXPECT_EQ((*got)[j].vertex, (*alone[i])[j].vertex);
+      EXPECT_EQ((*got)[j].similarity, (*alone[i])[j].similarity);
+    }
   }
 }
 

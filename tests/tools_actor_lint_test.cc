@@ -688,12 +688,12 @@ TEST(RuleHotPath, QueryRootMayAllocateButNotLock) {
             std::string::npos);
 }
 
-TEST(RuleHotPath, FollowsTheNeighborSearcherAlias) {
-  // Methods defined through the `using NeighborSearcher = QueryEngine`
-  // alias are canonicalized, so their callees join the scoring path.
+TEST(RuleHotPath, FollowsATypeAliasOfQueryEngine) {
+  // Methods defined through a `using Searcher = QueryEngine` alias are
+  // canonicalized, so their callees join the scoring path.
   const auto findings = Lint({{"src/serve/x.cc",
-                              "using NeighborSearcher = QueryEngine;\n"
-                              "int NeighborSearcher::QueryNearest(int k)"
+                              "using Searcher = QueryEngine;\n"
+                              "int Searcher::QueryNearest(int k)"
                               " const {\n"
                               "  return Score(k);\n"
                               "}\n"

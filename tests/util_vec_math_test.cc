@@ -366,30 +366,11 @@ TEST_F(KernelParity, DotMatchesDoubleReference) {
   }
 }
 
-TEST_F(KernelParity, DotAndNorm2MatchesSeparateDotsBitExactly) {
-  // The serving contract (docs/serving.md): each fused chain runs the
-  // exact reduction order of the corresponding separate Dot() call on the
-  // same backend, so cosine scores computed through DotAndNorm2 are
-  // bit-identical to the pre-fusion Cosine() path.
-  for (std::size_t n = 1; n <= 257; ++n) {
-    const auto x = RandomVec(n, 7 * n);
-    const auto y = RandomVec(n, 7 * n + 1);
-    for (VecBackend backend : {VecBackend::kAvx2, VecBackend::kScalar}) {
-      SetVecBackend(backend);
-      float dot = -1.0f, norm2 = -1.0f;
-      DotAndNorm2(x.data(), y.data(), n, &dot, &norm2);
-      ASSERT_EQ(dot, Dot(x.data(), y.data(), n))
-          << VecBackendName(backend) << " n=" << n;
-      ASSERT_EQ(norm2, Dot(y.data(), y.data(), n))
-          << VecBackendName(backend) << " n=" << n;
-    }
-  }
-}
-
 TEST_F(KernelParity, DotAndNorm2BatchMatchesSequentialBitExactly) {
-  // QueryBatch's determinism contract: every per-query chain of the
-  // blocked kernel runs the stand-alone Dot()'s reduction order on the
-  // same backend, and the shared y_norm2 chain matches DotAndNorm2's.
+  // QueryBatch's determinism contract (docs/serving.md): every per-query
+  // chain of the blocked kernel runs the stand-alone Dot()'s reduction
+  // order on the same backend, and so does the shared y_norm2 chain, so
+  // cosine scores are bit-identical to the Cosine() path.
   // Batch widths cover the register-block boundaries of both backends
   // (pairs in AVX2, quads in scalar) plus their remainders.
   for (std::size_t n : {1u, 2u, 7u, 8u, 15u, 16u, 17u, 31u, 33u, 64u, 100u,
@@ -410,12 +391,6 @@ TEST_F(KernelParity, DotAndNorm2BatchMatchesSequentialBitExactly) {
         ASSERT_EQ(norm2, Dot(y.data(), y.data(), n))
             << VecBackendName(backend) << " n=" << n << " b=" << b;
         for (std::size_t j = 0; j < b; ++j) {
-          float sdot = -2.0f;
-          float snorm2 = -2.0f;
-          DotAndNorm2(qptrs[j], y.data(), n, &sdot, &snorm2);
-          ASSERT_EQ(dots[j], sdot)
-              << VecBackendName(backend) << " n=" << n << " b=" << b
-              << " j=" << j;
           ASSERT_EQ(dots[j], Dot(qptrs[j], y.data(), n))
               << VecBackendName(backend) << " n=" << n << " b=" << b
               << " j=" << j;
@@ -425,22 +400,36 @@ TEST_F(KernelParity, DotAndNorm2BatchMatchesSequentialBitExactly) {
   }
 }
 
-TEST_F(KernelParity, DotAndNorm2MatchesDoubleReference) {
+TEST_F(KernelParity, DotAndNorm2BatchMatchesDoubleReference) {
   for (std::size_t n = 1; n <= 257; ++n) {
-    const auto x = RandomVec(n, 11 * n);
-    const auto y = RandomVec(n, 11 * n + 1);
-    double ref_dot = 0.0, ref_norm2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ref_dot += static_cast<double>(x[i]) * y[i];
-      ref_norm2 += static_cast<double>(y[i]) * y[i];
-    }
-    const float tol = 1e-5f + 1e-6f * static_cast<float>(n);
-    for (VecBackend backend : {VecBackend::kAvx2, VecBackend::kScalar}) {
-      SetVecBackend(backend);
-      float dot = 0.0f, norm2 = 0.0f;
-      DotAndNorm2(x.data(), y.data(), n, &dot, &norm2);
-      EXPECT_NEAR(dot, ref_dot, tol) << "n=" << n;
-      EXPECT_NEAR(norm2, ref_norm2, tol) << "n=" << n;
+    for (std::size_t b : {1u, 5u}) {
+      std::vector<std::vector<float>> qs(b);
+      std::vector<const float*> qptrs(b);
+      for (std::size_t j = 0; j < b; ++j) {
+        qs[j] = RandomVec(n, 11 * n + 2 * j);
+        qptrs[j] = qs[j].data();
+      }
+      const auto y = RandomVec(n, 11 * n + 1);
+      double ref_norm2 = 0.0;
+      std::vector<double> ref_dots(b, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        ref_norm2 += static_cast<double>(y[i]) * y[i];
+        for (std::size_t j = 0; j < b; ++j) {
+          ref_dots[j] += static_cast<double>(qs[j][i]) * y[i];
+        }
+      }
+      const float tol = 1e-5f + 1e-6f * static_cast<float>(n);
+      for (VecBackend backend : {VecBackend::kAvx2, VecBackend::kScalar}) {
+        SetVecBackend(backend);
+        std::vector<float> dots(b, 0.0f);
+        float norm2 = 0.0f;
+        DotAndNorm2Batch(qptrs.data(), b, y.data(), n, dots.data(), &norm2);
+        EXPECT_NEAR(norm2, ref_norm2, tol) << "n=" << n << " b=" << b;
+        for (std::size_t j = 0; j < b; ++j) {
+          EXPECT_NEAR(dots[j], ref_dots[j], tol)
+              << "n=" << n << " b=" << b << " j=" << j;
+        }
+      }
     }
   }
 }
@@ -573,10 +562,8 @@ TEST(RelaxedKernelParity, DotAndNorm2BatchMatchesSequentialBitExactly) {
       ASSERT_EQ(norm2, relaxed::Dot(y.data(), y.data(), n))
           << "n=" << n << " b=" << b;
       for (std::size_t j = 0; j < b; ++j) {
-        float sdot = -2.0f;
-        float snorm2 = -2.0f;
-        relaxed::DotAndNorm2(qptrs[j], y.data(), n, &sdot, &snorm2);
-        ASSERT_EQ(dots[j], sdot) << "n=" << n << " b=" << b << " j=" << j;
+        ASSERT_EQ(dots[j], relaxed::Dot(qptrs[j], y.data(), n))
+            << "n=" << n << " b=" << b << " j=" << j;
       }
     }
   }

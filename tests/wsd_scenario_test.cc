@@ -14,6 +14,7 @@
 #include "core/actor.h"
 #include "eval/cross_modal_model.h"
 #include "eval/pipeline.h"
+#include "serve/model_snapshot.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/vec_math.h"
@@ -76,7 +77,8 @@ class WsdScenarioTest : public ::testing::Test {
     auto model = TrainActor(*graphs_, options);
     ASSERT_TRUE(model.ok());
     model_ = new ActorModel(model.MoveValueOrDie());
-    snapshot_ = PublishActorModel(*model_, graphs_, hotspots_);
+    snapshot_ = ModelSnapshot::FromBatch(model_->center, graphs_, hotspots_,
+                                         /*vocab=*/nullptr, /*version=*/1);
   }
   static void TearDownTestSuite() {
     snapshot_.reset();

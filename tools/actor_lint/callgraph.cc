@@ -9,8 +9,8 @@ namespace actor_lint {
 namespace {
 
 /// Collects `using A = B;` type aliases across the file set, so a method
-/// defined (or called) through an alias — `NeighborSearcher::QueryByVector`
-/// where `using NeighborSearcher = QueryEngine;` — matches the aliased
+/// defined (or called) through an alias — `Searcher::QueryByVector` where
+/// `using Searcher = QueryEngine;` — matches the aliased
 /// class. Only the simple single-identifier RHS form is recorded (template
 /// aliases resolve to their base identifier).
 std::unordered_map<std::string, std::string> CollectAliases(

@@ -84,7 +84,7 @@ HogwildInfo ComputeHogwild(const CallGraph& g,
 /// R10 reachability. Roots (region boundaries that may own scratch
 /// allocation but must not block): HOGWILD dispatch/annotation spans, the
 /// bodies of dispatched lambda variables, and the `Query*` methods of
-/// QueryEngine (or any alias of it, e.g. NeighborSearcher). `checked`
+/// QueryEngine (or any `using` alias of it). `checked`
 /// marks every non-root symbol reachable from a root: those bodies must be
 /// free of mutexes, IO, *and* heap allocation.
 struct HotPathInfo {
