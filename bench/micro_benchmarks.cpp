@@ -186,6 +186,90 @@ BENCHMARK(BM_NegativeSamplingStepBackend)
                     static_cast<int>(VecBackend::kAvx2)},
                    {0, 1}});
 
+/// One streaming-trainer chunk: 16 steps (distinct center rows of a
+/// 4096-row center matrix, distinct positive rows of a 4096-row context
+/// matrix) sharing 5 distinct negatives. Arg 2 picks the implementation:
+/// 0 = one SharedNegativeBlock call, 1 = the per-step trainer it replaced
+/// (per step: Zero the gradient, one NegativeSamplingStep over the positive
+/// and its own 5 negatives, Add the gradient to the center). Items are
+/// steps, so the time per item is the time per step.
+void BM_SharedNegativeBlock(benchmark::State& state) {
+  const auto backend = static_cast<VecBackend>(state.range(1));
+  BackendGuard guard(backend);
+  if (guard.applied() != backend) {
+    state.SkipWithError("backend unavailable");
+    return;
+  }
+  const int32_t dim = static_cast<int32_t>(state.range(0));
+  const bool per_step = state.range(2) != 0;
+  constexpr int32_t kRows = 4096;
+  constexpr std::size_t kSteps = 16;  // the streaming trainer's chunk
+  constexpr std::size_t kNegatives = 5;
+  EmbeddingMatrix center(kRows, dim);
+  EmbeddingMatrix context(kRows, dim);
+  Rng init(1);
+  center.InitUniform(init);
+  context.InitUniform(init);
+  const std::size_t d = static_cast<std::size_t>(dim);
+  const SigmoidTable sigmoid;
+  std::vector<float> grads(kSteps * d);
+  std::vector<float> coefs(kSteps * (1 + kNegatives));
+  float* centers[kSteps] = {};
+  float* positives[kSteps] = {};
+  float* negatives[kNegatives] = {};
+  float* rows[1 + kNegatives] = {};
+  int32_t next_center = 0;
+  int32_t next_context = 0;
+  auto next_row = [](int32_t* r) {
+    const int32_t row = *r;
+    *r = (*r + 617) & (kRows - 1);  // distinct within a block; no divide
+    return row;
+  };
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < kSteps; ++b) {
+      centers[b] = center.row(next_row(&next_center));
+      positives[b] = context.row(next_row(&next_context));
+    }
+    if (per_step) {
+      for (std::size_t b = 0; b < kSteps; ++b) {
+        rows[0] = positives[b];
+        for (std::size_t k = 0; k < kNegatives; ++k) {
+          rows[1 + k] = context.row(next_row(&next_context));
+        }
+        Zero(grads.data(), d);
+        NegativeSamplingStep(centers[b], rows, 1 + kNegatives, true, 1e-6f,
+                             sigmoid, grads.data(), d);
+        Add(grads.data(), centers[b], d);
+      }
+    } else {
+      for (std::size_t k = 0; k < kNegatives; ++k) {
+        negatives[k] = context.row(next_row(&next_context));
+      }
+      SharedNegativeBlock(centers, positives, kSteps, negatives, kNegatives,
+                          1e-6f, sigmoid, grads.data(), coefs.data(), d);
+    }
+    benchmark::ClobberMemory();
+  }
+  // Rows read and written per step (docs/benchmarking.md, "Per-step SGD
+  // cost"): per-step, the center and 6 context rows; block, the center and
+  // the positive, plus the 5 shared negatives over 16 steps.
+  const double rows_per_step =
+      per_step ? 2.0 * (1 + 1 + kNegatives)
+               : 2.0 * (1 + 1) + 2.0 * kNegatives / kSteps;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSteps));
+  state.SetBytesProcessed(static_cast<int64_t>(
+      static_cast<double>(state.iterations()) * kSteps * rows_per_step *
+      static_cast<double>(d * sizeof(float))));
+  state.SetLabel(std::string(VecBackendName(backend)) +
+                 (per_step ? "/per-step" : "/block"));
+}
+BENCHMARK(BM_SharedNegativeBlock)
+    ->ArgsProduct({{32, 128},
+                   {static_cast<int>(VecBackend::kScalar),
+                    static_cast<int>(VecBackend::kAvx2)},
+                   {0, 1}});
+
 /// The fused kernel against the two-pass Axpy pair it replaced.
 void BM_TwoPassGradStep(benchmark::State& state) {
   const std::size_t dim = static_cast<std::size_t>(state.range(0));

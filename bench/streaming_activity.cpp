@@ -12,6 +12,11 @@
 // decaying model recovers fastest, the frozen model stays degraded.
 //
 // Run:  ./streaming_activity [--records=8000] [--batches=8]
+//                            [--samples_per_edge_per_batch=3]
+//
+// The last lines give each variant's mean prequential MRR over the stream
+// and the decaying model's total Ingest() time, one row of the
+// samples_per_edge_per_batch tuning table in docs/streaming.md.
 
 #include <cstdio>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "eval/mrr.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace {
 
@@ -53,6 +59,8 @@ int main(int argc, char** argv) {
   actor::Flags flags(argc, argv);
   const int records = static_cast<int>(flags.GetInt("records", 8000));
   const int batches = static_cast<int>(flags.GetInt("batches", 8));
+  const double samples_per_edge =
+      flags.GetDouble("samples_per_edge_per_batch", 3.0);
 
   // Two regimes with identical vocabulary namespaces but different latent
   // structure (venue placement, topic hours): the same tokens change
@@ -89,6 +97,7 @@ int main(int argc, char** argv) {
   actor::OnlineActorOptions decay_options;
   decay_options.dim = 32;
   decay_options.decay_per_batch = 0.6;
+  decay_options.samples_per_edge_per_batch = samples_per_edge;
   actor::OnlineActorOptions keep_options = decay_options;
   keep_options.decay_per_batch = 1.0;
 
@@ -104,17 +113,31 @@ int main(int argc, char** argv) {
               batches / 2 - 1);
   std::printf("%6s %6s %14s %18s %10s\n", "batch", "regime", "online(decay)",
               "online(no-decay)", "frozen");
+  double ingest_s = 0.0;
+  double sum_decay = 0.0, sum_keep = 0.0, sum_frozen = 0.0;
   for (int i = 0; i + 1 < batches; ++i) {
+    const actor::Stopwatch ingest;
     online_decay->Ingest(stream[i]).CheckOK();
+    ingest_s += ingest.ElapsedSeconds();
     online_keep->Ingest(stream[i]).CheckOK();
     if (i == 0) frozen->Ingest(stream[i]).CheckOK();
     const auto& next = stream[i + 1];
+    const double mrr_decay = PrequentialLocationMrr(*online_decay, next, 7 + i);
+    const double mrr_keep = PrequentialLocationMrr(*online_keep, next, 7 + i);
+    const double mrr_frozen = PrequentialLocationMrr(*frozen, next, 7 + i);
+    sum_decay += mrr_decay;
+    sum_keep += mrr_keep;
+    sum_frozen += mrr_frozen;
     std::printf("%6d %6s %14.4f %18.4f %10.4f\n", i,
-                i < batches / 2 ? "A" : "B",
-                PrequentialLocationMrr(*online_decay, next, 7 + i),
-                PrequentialLocationMrr(*online_keep, next, 7 + i),
-                PrequentialLocationMrr(*frozen, next, 7 + i));
+                i < batches / 2 ? "A" : "B", mrr_decay, mrr_keep,
+                mrr_frozen);
   }
+  const double n = static_cast<double>(batches - 1);
+  std::printf("%13s %14.4f %18.4f %10.4f\n", "mean", sum_decay / n,
+              sum_keep / n, sum_frozen / n);
+  std::printf("\nsamples_per_edge_per_batch=%g: online(decay) ingest %.3f s "
+              "over %d batches\n",
+              samples_per_edge, ingest_s, batches - 1);
   std::printf("\nunits: decay=%d keep=%d frozen=%d; live edges: decay=%zu "
               "keep=%zu\n",
               online_decay->num_units(), online_keep->num_units(),

@@ -116,15 +116,15 @@ void InitializeFromUserEmbeddings(const BuiltGraphs& graphs,
 /// single summed center vector that predicts the record's location unit,
 /// time unit, and each of its words; the accumulated center gradient is
 /// distributed to every member word. The record's T-L pair trains as two
-/// plain skip-gram steps.
+/// plain skip-gram steps. `comp_buf`, `grad_buf` and `grad2_buf` are the
+/// caller's per-shard scratch, dim floats each.
 void TrainRecordBagOfWords(const RecordUnits& units,
                            const TypedNegativeSampler& noise,
                            const SigmoidTable& sigmoid, int negatives,
                            float lr, bool sum_composite, Rng& rng,
                            EmbeddingMatrix* center, EmbeddingMatrix* context,
-                           std::vector<float>* comp_buf,
-                           std::vector<float>* grad_buf,
-                           std::vector<float>* grad2_buf) {
+                           float* comp_buf, float* grad_buf,
+                           float* grad2_buf) {
   const std::size_t dim = static_cast<std::size_t>(center->dim());
   const auto& words = units.word_units;
   auto neg = [&noise](EdgeType e, VertexType t) {
@@ -133,7 +133,7 @@ void TrainRecordBagOfWords(const RecordUnits& units,
 
   // T-L pair (both orientations).
   if (units.time_unit != units.location_unit) {
-    float* grad = grad_buf->data();
+    float* grad = grad_buf;
     Zero(grad, dim);
     NegativeSamplingUpdate(center->row(units.time_unit), units.location_unit,
                            negatives, lr, context, sigmoid, rng,
@@ -151,7 +151,7 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   // vectors (footnote 4 takes the sum; the mean differs only by a scale
   // factor and keeps the sigmoid inputs in the same range as single-unit
   // steps, which matters at small d).
-  float* comp = comp_buf->data();
+  float* comp = comp_buf;
   Zero(comp, dim);
   for (VertexId w : words) Add(center->row(w), comp, dim);
   if (!sum_composite) {
@@ -159,7 +159,7 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   }
 
   // Bag -> location and bag -> time.
-  float* grad = grad_buf->data();
+  float* grad = grad_buf;
   Zero(grad, dim);
   NegativeSamplingUpdate(comp, units.location_unit, negatives, lr, context,
                          sigmoid, rng,
@@ -172,7 +172,7 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   // Bag-minus-self -> each word (the WW relation under the bag model).
   if (words.size() >= 2) {
     const float n_words = static_cast<float>(words.size());
-    float* comp_minus = grad2_buf->data();
+    float* comp_minus = grad2_buf;
     for (VertexId w : words) {
       // Composite of the other words: sum - x_w, or its mean
       // (n * comp - x_w) / (n - 1) under the mean composite.
@@ -309,15 +309,11 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   // dispatch boundary: the record shard body runs on the hot path and
   // must not allocate.
   const std::size_t record_shards = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<std::vector<float>> rec_comp(record_shards),
-      rec_grad(record_shards), rec_grad2(record_shards);
-  if (options.use_bag_of_words) {
-    for (std::size_t t = 0; t < record_shards; ++t) {
-      rec_comp[t].resize(static_cast<std::size_t>(options.dim));
-      rec_grad[t].resize(static_cast<std::size_t>(options.dim));
-      rec_grad2[t].resize(static_cast<std::size_t>(options.dim));
-    }
-  }
+  // One cache-line-padded slot per shard holds its composite, gradient
+  // and second-gradient buffers (dim floats each).
+  const std::size_t dim = static_cast<std::size_t>(options.dim);
+  WorkerScratch rec_scratch(record_shards,
+                            options.use_bag_of_words ? 3 * dim : 0);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const float frac =
         static_cast<float>(epoch) / static_cast<float>(options.epochs);
@@ -347,15 +343,15 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
       // the shard body uses only the caller-owned per-shard scratch.
       auto run_records = [&](int64_t count, uint64_t seed, int t) {
         Rng shard_rng(seed);
+        float* const rec_comp = rec_scratch.slot(static_cast<std::size_t>(t));
         for (int64_t i = 0; i < count; ++i) {
           const auto& units =
               graphs.record_units[shard_rng.Uniform(graphs.record_units.size())];
           TrainRecordBagOfWords(units, noise, sigmoid, options.negatives, lr,
                                 options.bow_sum_composite, shard_rng,
                                 &model.center, &model.context,
-                                &rec_comp[static_cast<std::size_t>(t)],
-                                &rec_grad[static_cast<std::size_t>(t)],
-                                &rec_grad2[static_cast<std::size_t>(t)]);
+                                rec_comp, rec_comp + dim,
+                                rec_comp + 2 * dim);
         }
       };
       const uint64_t record_step = 1000 + static_cast<uint64_t>(epoch);

@@ -217,8 +217,13 @@ Status OnlineActor::RefreshSamplers(int e) {
 }
 
 Status OnlineActor::TrainBatch() {
-  // Gradient scratch, allocated here so the epoch body is allocation-free.
-  std::vector<float> grad(static_cast<std::size_t>(options_.dim));
+  // Block scratch, allocated here so the epoch body is allocation-free.
+  const std::size_t dim = static_cast<std::size_t>(options_.dim);
+  const std::size_t negatives = static_cast<std::size_t>(options_.negatives);
+  EpochScratch scratch;
+  scratch.grads.resize(kSharedNegativeBlock * dim);
+  scratch.coefs.resize(kSharedNegativeBlock * (1 + negatives));
+  scratch.negatives.resize(negatives);
   for (int e = 0; e < kNumEdgeTypes; ++e) {
     const OnlineEdgeStore& store = edges_[e];
     if (store.empty()) continue;
@@ -228,7 +233,7 @@ Status OnlineActor::TrainBatch() {
     const auto n = static_cast<int64_t>(options_.samples_per_edge_per_batch *
                                         2.0 * static_cast<double>(store.size()));
     if (n <= 0) continue;
-    TrainEpoch(e, n, ShardSeed(options_.seed, train_steps_, 0), grad.data());
+    TrainEpoch(e, n, ShardSeed(options_.seed, train_steps_, 0), &scratch);
     train_steps_ += static_cast<uint64_t>(n);
   }
   ACTOR_DCHECK(center_.DebugValidate());
@@ -237,7 +242,7 @@ Status OnlineActor::TrainBatch() {
 }
 
 void OnlineActor::TrainEpoch(int e, int64_t num_samples, uint64_t seed,
-                             float* grad) {
+                             EpochScratch* scratch) {
   Rng rng(seed);
   const OnlineEdgeStore& store = edges_[e];
   const SamplerCache& cache = samplers_[e];
@@ -250,6 +255,7 @@ void OnlineActor::TrainEpoch(int e, int64_t num_samples, uint64_t seed,
   const std::vector<VertexId>& dst = store.dst();
   const std::vector<VertexType>& types = catalog_.types;
   const std::size_t dim = static_cast<std::size_t>(options_.dim);
+  const std::size_t num_negatives = scratch->negatives.size();
   const float lr = options_.learning_rate;
 
   // Block-wise sampling with software prefetch, as in
@@ -264,9 +270,16 @@ void OnlineActor::TrainEpoch(int e, int64_t num_samples, uint64_t seed,
   };
   constexpr int64_t kBlock = 64;
   std::array<Step, kBlock> steps;
+  // Step indices of the block, stably grouped by context-vertex type:
+  // type t's steps are order[type_begin[t], type_begin[t + 1]).
+  std::array<int, kBlock> order;
+  std::array<int, kNumVertexTypes + 1> type_begin;
+  std::array<float*, kSharedNegativeBlock> centers;
+  std::array<float*, kSharedNegativeBlock> positives;
   for (int64_t base = 0; base < num_samples; base += kBlock) {
-    const int64_t block = std::min<int64_t>(kBlock, num_samples - base);
-    for (int64_t i = 0; i < block; ++i) {
+    const int block = static_cast<int>(std::min(kBlock, num_samples - base));
+    type_begin.fill(0);
+    for (int i = 0; i < block; ++i) {
       const std::size_t idx = cache.edge_table.Sample(rng);
       const bool flip = (rng.Next() & 1) != 0;
       Step& step = steps[static_cast<std::size_t>(i)];
@@ -276,26 +289,49 @@ void OnlineActor::TrainEpoch(int e, int64_t num_samples, uint64_t seed,
       step.context = context_.row(step.v);
       PrefetchRow(step.center, dim);
       PrefetchRow(step.context, dim);
+      ++type_begin[static_cast<std::size_t>(types[step.v]) + 1];
     }
-    for (int64_t i = 0; i < block; ++i) {
-      const Step& step = steps[static_cast<std::size_t>(i)];
-      const NoiseTable& noise = cache.noise[static_cast<int>(types[step.v])];
+    for (int t = 0; t < kNumVertexTypes; ++t) {
+      type_begin[t + 1] += type_begin[t];
+    }
+    std::array<int, kNumVertexTypes> fill;
+    std::copy_n(type_begin.begin(), kNumVertexTypes, fill.begin());
+    for (int i = 0; i < block; ++i) {
+      const auto t = static_cast<std::size_t>(
+          types[steps[static_cast<std::size_t>(i)].v]);
+      order[static_cast<std::size_t>(fill[t]++)] = i;
+    }
+    // Each type's run goes through the block kernel in chunks of at most
+    // kSharedNegativeBlock steps that share one typed draw of negatives
+    // (Eq. (7)'s P(v) of the context type). Dirty tracking marks the rows
+    // the chunk mutates: every step's center and positive, and each
+    // shared negative once.
+    for (int t = 0; t < kNumVertexTypes; ++t) {
+      const NoiseTable& noise = cache.noise[t];
       if (!noise.valid) continue;
-      Zero(grad, dim);
-      // Dirty tracking marks the rows this step mutates: the center, the
-      // positive context and every negative.
-      NegativeSamplingUpdate(step.center, step.v, options_.negatives, lr,
-                             &context_, sigmoid_, rng,
-                             [this, &noise](Rng& r) {
-                               const VertexId n =
-                                   noise.candidates[noise.table.Sample(r)];
-                               dirty_.Mark(n);
-                               return n;
-                             },
-                             grad);
-      Add(grad, step.center, dim);
-      dirty_.Mark(step.u);
-      dirty_.Mark(step.v);
+      const int end = type_begin[t + 1];
+      for (int first = type_begin[t]; first < end;
+           first += static_cast<int>(kSharedNegativeBlock)) {
+        const auto n_steps = static_cast<std::size_t>(std::min(
+            end - first, static_cast<int>(kSharedNegativeBlock)));
+        for (std::size_t j = 0; j < n_steps; ++j) {
+          const Step& step = steps[static_cast<std::size_t>(
+              order[static_cast<std::size_t>(first) + j])];
+          centers[j] = step.center;
+          positives[j] = step.context;
+          dirty_.Mark(step.u);
+          dirty_.Mark(step.v);
+        }
+        for (float*& row : scratch->negatives) {
+          const VertexId n = noise.candidates[noise.table.Sample(rng)];
+          dirty_.Mark(n);
+          row = context_.row(n);
+        }
+        SharedNegativeBlock(centers.data(), positives.data(), n_steps,
+                            scratch->negatives.data(), num_negatives, lr,
+                            sigmoid_, scratch->grads.data(),
+                            scratch->coefs.data(), dim);
+      }
     }
   }
 }

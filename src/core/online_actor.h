@@ -195,12 +195,28 @@ class OnlineActor {
   /// version matches — e.g. after a pure-decay batch that dropped no edge
   /// of this store).
   Status RefreshSamplers(int e);
+  /// Most steps TrainEpoch puts in one SharedNegativeBlock call: same-type
+  /// steps share one draw of negatives per chunk of at most this many
+  /// (docs/streaming.md, "Re-embed").
+  static constexpr std::size_t kSharedNegativeBlock = 16;
+  /// Scratch of the trainer epochs, sized once per TrainBatch:
+  /// SharedNegativeBlock's gradients (kSharedNegativeBlock * dim) and
+  /// coefficients (kSharedNegativeBlock * (1 + negatives)), and the
+  /// shared negative rows of the current chunk (negatives).
+  struct EpochScratch {
+    std::vector<float> grads;
+    std::vector<float> coefs;
+    std::vector<float*> negatives;
+  };
   /// The trainer epoch for edge type e: `num_samples` draws from the
   /// store's edge sampler with RNG stream `seed`, each training one
-  /// orientation of the drawn edge and marking every row it mutates in
-  /// dirty_. `grad` is caller-owned gradient scratch of length
-  /// options_.dim; the body is allocation-free.
-  void TrainEpoch(int e, int64_t num_samples, uint64_t seed, float* grad);
+  /// orientation of the drawn edge. Within each 64-draw block the steps
+  /// are grouped by context-vertex type and trained in shared-negative
+  /// chunks of at most kSharedNegativeBlock (docs/streaming.md,
+  /// "Re-embed"); every mutated row is marked in dirty_. The body is
+  /// allocation-free.
+  void TrainEpoch(int e, int64_t num_samples, uint64_t seed,
+                  EpochScratch* scratch);
 
   OnlineActorOptions options_;
   Rng rng_;

@@ -100,13 +100,12 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   // shard body runs on the hot path and must not allocate.
   const std::size_t dim = static_cast<std::size_t>(options.dim);
   const std::size_t workers = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<float> shard_grad(workers * dim);
-  float* const grad_base = shard_grad.data();
+  WorkerScratch shard_grad(workers, dim);
   // The analyzer derives this lambda's HOGWILD scope from the ShardedRange
   // dispatch below (shared rows only through the fused kernels).
   auto shard = [&](int thread_id, int64_t samples) {
     Rng rng(ShardSeed(options.seed, /*step=*/0x11e5u, thread_id));
-    float* const grad = grad_base + static_cast<std::size_t>(thread_id) * dim;
+    float* const grad = shard_grad.slot(static_cast<std::size_t>(thread_id));
     for (int64_t i = 0; i < samples; ++i) {
       // Linear learning-rate decay over the global budget.
       const int64_t done = progress.fetch_add(1, std::memory_order_relaxed);

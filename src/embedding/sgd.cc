@@ -80,15 +80,14 @@ Status EdgeSamplingTrainer::TrainEdgeType(EdgeType e, int64_t num_samples,
   } else {
     // Per-shard gradient scratch, allocated at the dispatch boundary: the
     // shard bodies themselves are allocation-free (hot-path rule).
-    std::vector<float> shard_grad(pool_->num_threads() * dim);
-    float* const grad_base = shard_grad.data();
+    WorkerScratch shard_grad(pool_->num_threads(), dim);
     pool_->ShardedRange(
         0, static_cast<std::size_t>(num_samples),
-        [this, e, lr, step, grad_base, dim](int shard, std::size_t lo,
-                                            std::size_t hi) {
+        [this, e, lr, step, &shard_grad](int shard, std::size_t lo,
+                                         std::size_t hi) {
           TrainShard(e, static_cast<int64_t>(hi - lo), lr,
                      ShardSeed(options_.seed, step, shard),
-                     grad_base + static_cast<std::size_t>(shard) * dim);
+                     shard_grad.slot(static_cast<std::size_t>(shard)));
         });
   }
   steps_done_ += num_samples;

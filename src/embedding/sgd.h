@@ -2,6 +2,8 @@
 #define ACTOR_EMBEDDING_SGD_H_
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,6 +30,34 @@ inline uint64_t ShardSeed(uint64_t base, uint64_t step, uint64_t shard) {
   h = SplitMix64(h ^ step);
   return SplitMix64(h ^ shard);
 }
+
+/// Per-worker scratch of a pool dispatch: `workers` zeroed slots of
+/// `floats` floats, each starting on its own 64-byte cache line and padded
+/// to whole lines, so workers writing their own slots never share a line
+/// (no false sharing between adjacent workers). Allocate it at the dispatch
+/// boundary; shard bodies only call slot().
+class WorkerScratch {
+ public:
+  static constexpr std::size_t kLineBytes = 64;
+  static constexpr std::size_t kLineFloats = kLineBytes / sizeof(float);
+
+  WorkerScratch(std::size_t workers, std::size_t floats)
+      : stride_((floats + kLineFloats - 1) / kLineFloats * kLineFloats),
+        storage_(workers * stride_ + kLineFloats - 1) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+    base_ = storage_.data() +
+            (kLineBytes - addr % kLineBytes) % kLineBytes / sizeof(float);
+  }
+  WorkerScratch(const WorkerScratch&) = delete;
+  WorkerScratch& operator=(const WorkerScratch&) = delete;
+
+  float* slot(std::size_t worker) { return base_ + worker * stride_; }
+
+ private:
+  std::size_t stride_;
+  std::vector<float> storage_;
+  float* base_ = nullptr;
+};
 
 /// One negative-sampling objective evaluation (Eq. (7)) for a *given*
 /// center vector against one positive context vertex plus `negatives`

@@ -235,9 +235,10 @@ Result<std::vector<double>> MeanShiftModes1dCircular(
         << "circular wrap of " << v << " escaped [0, " << period << ")";
     return v;
   };
+  // Every argument is already wrapped to [0, period), so |a - b| < period
+  // needs no reduction modulo the period.
   auto circ_dist = [&](double a, double b) {
     double d = std::fabs(a - b);
-    d = std::fmod(d, period);
     d = d > period / 2.0 ? period - d : d;
     ACTOR_DCHECK(d >= 0.0 && d <= period / 2.0)
         << "circular distance " << d << " for period " << period;

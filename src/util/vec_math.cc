@@ -42,6 +42,147 @@ void InOrderSteps(const float* center, float* const* rows, std::size_t n_rows,
   }
 }
 
+// SharedNegativeBlock keeps step b's coefficients at coefs[b * (1 + K)]:
+// the positive's first, then the K negatives' in draw order. The dot
+// passes write the raw dot products there, a sigmoid pass turns them into
+// scores and this pass into coefficients, all in place, with the same
+// float operations as StepCoefficient. A negative that is the step's own
+// positive row gets 0: a row is never its own negative.
+void ScoresToCoefficients(float* const* positives, std::size_t n_steps,
+                          float* const* negatives, std::size_t n_negatives,
+                          float lr, float* coefs) {
+  const std::size_t stride = 1 + n_negatives;
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    float* g = coefs + b * stride;
+    g[0] = (1.0f - g[0]) * lr;
+    ACTOR_DCHECK_FINITE(g[0]);
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      g[1 + k] = negatives[k] == positives[b] ? 0.0f : -g[1 + k] * lr;
+      ACTOR_DCHECK_FINITE(g[1 + k]);
+    }
+  }
+}
+
+// Dots to coefficients with the scalar sigmoid (scalar and relaxed).
+void BlockCoefficients(float* const* positives, std::size_t n_steps,
+                       float* const* negatives, std::size_t n_negatives,
+                       float lr, const SigmoidTable& sigmoid, float* coefs) {
+  const std::size_t total = n_steps * (1 + n_negatives);
+  for (std::size_t q = 0; q < total; ++q) coefs[q] = sigmoid(coefs[q]);
+  ScoresToCoefficients(positives, n_steps, negatives, n_negatives, lr, coefs);
+}
+
+inline float PlainLoad(const float* p) { return *p; }
+inline void PlainStore(float* p, float v) { *p = v; }
+
+// The raw dots of a SharedNegativeBlock call: the scalar and relaxed
+// bodies. A step's rows (its positive, then the negatives) go four at a
+// time, sharing each load of C_b. Each row keeps its own accumulator chain
+// in element order, so every dot is bit-identical to that backend's Dot().
+template <float (*Load)(const float*)>
+void BlockDotsWith(float* const* centers, float* const* positives,
+                   std::size_t n_steps, float* const* negatives,
+                   std::size_t n_negatives, float* coefs, std::size_t dim) {
+  const std::size_t stride = 1 + n_negatives;
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* c = centers[b];
+    float* out = coefs + b * stride;
+    // Row j of the step: the positive for j == 0, else negatives[j - 1].
+    auto row = [&](std::size_t j) -> const float* {
+      return j == 0 ? positives[b] : negatives[j - 1];
+    };
+    std::size_t j = 0;
+    for (; j + 4 <= stride; j += 4) {
+      const float* r0 = row(j);
+      const float* r1 = row(j + 1);
+      const float* r2 = row(j + 2);
+      const float* r3 = row(j + 3);
+      float a0 = 0.0f;
+      float a1 = 0.0f;
+      float a2 = 0.0f;
+      float a3 = 0.0f;
+      for (std::size_t i = 0; i < dim; ++i) {
+        const float cv = Load(c + i);
+        a0 += cv * Load(r0 + i);
+        a1 += cv * Load(r1 + i);
+        a2 += cv * Load(r2 + i);
+        a3 += cv * Load(r3 + i);
+      }
+      out[j] = a0;
+      out[j + 1] = a1;
+      out[j + 2] = a2;
+      out[j + 3] = a3;
+    }
+    for (; j < stride; ++j) {
+      const float* r = row(j);
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < dim; ++i) acc += Load(c + i) * Load(r + i);
+      out[j] = acc;
+    }
+  }
+}
+
+// The SharedNegativeBlock row updates, phase by phase over whole rows, in
+// the contract's order: the scalar and relaxed bodies. The gradient
+// scratch is private, so only the shared rows go through Load/Store.
+template <float (*Load)(const float*), void (*Store)(float*, float)>
+void BlockUpdatesWith(float* const* centers, float* const* positives,
+                  std::size_t n_steps, float* const* negatives,
+                  std::size_t n_negatives, const float* coefs, float* grads,
+                  std::size_t dim) {
+  const std::size_t stride = 1 + n_negatives;
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* g = coefs + b * stride;
+    float* grad = grads + b * dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      grad[i] = 0.0f + g[0] * Load(positives[b] + i);
+    }
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      for (std::size_t i = 0; i < dim; ++i) {
+        grad[i] += g[1 + k] * Load(negatives[k] + i);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < n_negatives; ++k) {
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      const float g = coefs[b * stride + 1 + k];
+      for (std::size_t i = 0; i < dim; ++i) {
+        Store(negatives[k] + i,
+              Load(negatives[k] + i) + g * Load(centers[b] + i));
+      }
+    }
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float g = coefs[b * stride];
+    for (std::size_t i = 0; i < dim; ++i) {
+      Store(positives[b] + i,
+            Load(positives[b] + i) + g * Load(centers[b] + i));
+    }
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* grad = grads + b * dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      Store(centers[b] + i, Load(centers[b] + i) + grad[i]);
+    }
+  }
+}
+
+// True when no center of a SharedNegativeBlock call is also one of its
+// context rows (the DCHECK in the dispatch wrapper).
+bool CentersDisjointFromContext(float* const* centers, float* const* positives,
+                                std::size_t n_steps, float* const* negatives,
+                                std::size_t n_negatives) {
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    for (std::size_t j = 0; j < n_steps; ++j) {
+      if (centers[b] == positives[j]) return false;
+    }
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      if (centers[b] == negatives[k]) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -125,6 +266,20 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
                           std::size_t dim) {
   InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
                                    lr, sigmoid, grad, dim);
+}
+
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim) {
+  BlockDotsWith<PlainLoad>(centers, positives, n_steps, negatives,
+                           n_negatives, coefs, dim);
+  BlockCoefficients(positives, n_steps, negatives, n_negatives, lr, sigmoid,
+                    coefs);
+  BlockUpdatesWith<PlainLoad, PlainStore>(centers, positives, n_steps,
+                                          negatives, n_negatives, coefs, grads,
+                                          dim);
 }
 
 }  // namespace scalar
@@ -217,6 +372,20 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
                           std::size_t dim) {
   InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
                                    lr, sigmoid, grad, dim);
+}
+
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim) {
+  BlockDotsWith<RelaxedLoad>(centers, positives, n_steps, negatives,
+                             n_negatives, coefs, dim);
+  BlockCoefficients(positives, n_steps, negatives, n_negatives, lr, sigmoid,
+                    coefs);
+  BlockUpdatesWith<RelaxedLoad, RelaxedStore>(centers, positives, n_steps,
+                                              negatives, n_negatives, coefs,
+                                              grads, dim);
 }
 
 }  // namespace relaxed
@@ -497,6 +666,161 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
   UpdateRows(center, ctx_rows, n_rows, coef, grad, dim);
 }
 
+// The raw dots of a SharedNegativeBlock call, each bit-identical to Dot():
+// step b's rows (its positive, then the negatives) go through DotPair in
+// pairs sharing each load of C_b.
+ACTOR_AVX2_TARGET static void BlockDots(float* const* centers,
+                                        float* const* positives,
+                                        std::size_t n_steps,
+                                        float* const* negatives,
+                                        std::size_t n_negatives, float* coefs,
+                                        std::size_t n) {
+  const std::size_t stride = 1 + n_negatives;
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* c = centers[b];
+    float* out = coefs + b * stride;
+    DotPair(c, positives[b], negatives[0], n, out);
+    std::size_t k = 1;
+    for (; k + 2 <= n_negatives; k += 2) {
+      DotPair(c, negatives[k], negatives[k + 1], n, out + 1 + k);
+    }
+    if (k < n_negatives) out[1 + k] = Dot(c, negatives[k], n);
+  }
+}
+
+// The SharedNegativeBlock row updates on floats [i, i + 8 * S) of every
+// row. Every update is elementwise, so the contract's phases can run one
+// column block at a time with the block's rows hot in L1: gradients from
+// the start values, then the N_k, P_b and C_b writes in the contract's
+// order. Each N_k block accumulates in registers across the steps and is
+// stored once, one k at a time, so a repeated negative's second
+// accumulation starts from the first one's stored result, as the contract
+// orders.
+template <int S>
+ACTOR_AVX2_TARGET static inline void BlockColumns(
+    float* const* centers, float* const* positives, std::size_t n_steps,
+    float* const* negatives, std::size_t n_negatives, const float* coefs,
+    float* grads, std::size_t n, std::size_t i) {
+  const std::size_t stride = 1 + n_negatives;
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* g = coefs + b * stride;
+    const float* p = positives[b] + i;
+    const __m256 g0 = _mm256_set1_ps(g[0]);
+    __m256 acc[S];
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) {
+      acc[s] = _mm256_fmadd_ps(g0, _mm256_loadu_ps(p + 8 * s),
+                               _mm256_setzero_ps());
+    }
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      const __m256 gk = _mm256_set1_ps(g[1 + k]);
+      const float* r = negatives[k] + i;
+#pragma GCC unroll 4
+      for (int s = 0; s < S; ++s) {
+        acc[s] = _mm256_fmadd_ps(gk, _mm256_loadu_ps(r + 8 * s), acc[s]);
+      }
+    }
+    float* grad = grads + b * n + i;
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) _mm256_storeu_ps(grad + 8 * s, acc[s]);
+  }
+  for (std::size_t k = 0; k < n_negatives; ++k) {
+    float* r = negatives[k] + i;
+    __m256 a[S];
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) a[s] = _mm256_loadu_ps(r + 8 * s);
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      const __m256 g = _mm256_set1_ps(coefs[b * stride + 1 + k]);
+      const float* cb = centers[b] + i;
+#pragma GCC unroll 4
+      for (int s = 0; s < S; ++s) {
+        a[s] = _mm256_fmadd_ps(g, _mm256_loadu_ps(cb + 8 * s), a[s]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) _mm256_storeu_ps(r + 8 * s, a[s]);
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const __m256 g = _mm256_set1_ps(coefs[b * stride]);
+    const float* cb = centers[b] + i;
+    float* p = positives[b] + i;
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) {
+      _mm256_storeu_ps(p + 8 * s,
+                       _mm256_fmadd_ps(g, _mm256_loadu_ps(cb + 8 * s),
+                                       _mm256_loadu_ps(p + 8 * s)));
+    }
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    const float* grad = grads + b * n + i;
+    float* cb = centers[b] + i;
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) {
+      _mm256_storeu_ps(cb + 8 * s,
+                       _mm256_add_ps(_mm256_loadu_ps(grad + 8 * s),
+                                     _mm256_loadu_ps(cb + 8 * s)));
+    }
+  }
+}
+
+// All SharedNegativeBlock row updates: 32-float column blocks, then
+// 8-float ones, then a scalar tail that runs the same phases per element.
+ACTOR_AVX2_TARGET static void BlockUpdates(
+    float* const* centers, float* const* positives, std::size_t n_steps,
+    float* const* negatives, std::size_t n_negatives, const float* coefs,
+    float* grads, std::size_t n) {
+  const std::size_t stride = 1 + n_negatives;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    BlockColumns<4>(centers, positives, n_steps, negatives, n_negatives, coefs,
+                    grads, n, i);
+  }
+  for (; i + 8 <= n; i += 8) {
+    BlockColumns<1>(centers, positives, n_steps, negatives, n_negatives, coefs,
+                    grads, n, i);
+  }
+  for (; i < n; ++i) {
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      const float* g = coefs + b * stride;
+      float acc = std::fma(g[0], positives[b][i], 0.0f);
+      for (std::size_t k = 0; k < n_negatives; ++k) {
+        acc = std::fma(g[1 + k], negatives[k][i], acc);
+      }
+      grads[b * n + i] = acc;
+    }
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      float acc = negatives[k][i];
+      for (std::size_t b = 0; b < n_steps; ++b) {
+        acc = std::fma(coefs[b * stride + 1 + k], centers[b][i], acc);
+      }
+      negatives[k][i] = acc;
+    }
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      positives[b][i] =
+          std::fma(coefs[b * stride], centers[b][i], positives[b][i]);
+    }
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      centers[b][i] += grads[b * n + i];
+    }
+  }
+}
+
+// Built for the baseline ISA on purpose, like NegativeSamplingStep: only
+// the dot and update passes may fuse multiplies and adds; the coefficients
+// go through the shared BlockCoefficients, so they round as
+// StepCoefficient does.
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim) {
+  BlockDots(centers, positives, n_steps, negatives, n_negatives, coefs, dim);
+  BlockCoefficients(positives, n_steps, negatives, n_negatives, lr, sigmoid,
+                    coefs);
+  BlockUpdates(centers, positives, n_steps, negatives, n_negatives, coefs,
+               grads, dim);
+}
+
 #undef ACTOR_AVX2_TARGET
 
 }  // namespace avx2
@@ -521,6 +845,9 @@ struct KernelTable {
   void (*fused)(float, const float*, float*, float*, std::size_t);
   void (*ns_step)(const float*, float* const*, std::size_t, bool, float,
                   const SigmoidTable&, float*, std::size_t);
+  void (*ns_block)(float* const*, float* const*, std::size_t, float* const*,
+                   std::size_t, float, const SigmoidTable&, float*, float*,
+                   std::size_t);
 };
 
 // One table per backend; every kernel namespace defines the same names.
@@ -528,7 +855,7 @@ struct KernelTable {
   KernelTable {                                                          \
     &ns::Dot, &ns::Axpy, &ns::Scale, &ns::Add, &ns::Norm2,               \
         &ns::DotAndNorm2Batch, &ns::FusedGradStep,                       \
-        &ns::NegativeSamplingStep                                        \
+        &ns::NegativeSamplingStep, &ns::SharedNegativeBlock              \
   }
 constexpr KernelTable kScalarKernels = ACTOR_KERNEL_TABLE(scalar);
 constexpr KernelTable kRelaxedKernels = ACTOR_KERNEL_TABLE(relaxed);
@@ -647,6 +974,19 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
   ACTOR_DCHECK(n_rows <= kMaxStepRows);
   g_kernels.ns_step(center, ctx_rows, n_rows, first_positive, lr, sigmoid,
                     grad, dim);
+}
+
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim) {
+  ACTOR_DCHECK(n_negatives >= 1);
+  ACTOR_DCHECK(CentersDisjointFromContext(centers, positives, n_steps,
+                                          negatives, n_negatives))
+      << "a center row is also a context row of the block";
+  g_kernels.ns_block(centers, positives, n_steps, negatives, n_negatives, lr,
+                     sigmoid, grads, coefs, dim);
 }
 
 SigmoidTable::SigmoidTable() {

@@ -119,6 +119,31 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
                           const SigmoidTable& sigmoid, float* grad,
                           std::size_t dim);
 
+/// Shared-negative block step (Eq. (7), updates of Eqs. (8)-(10)):
+/// `n_steps` steps, step b training center row C_b = centers[b] against its
+/// positive context row P_b = positives[b] and the `n_negatives` (>= 1)
+/// shared negative rows N_k = negatives[k]. Every dot product and every
+/// center gradient reads the rows as they were when the call started:
+///   g_b0   = (1 - sigmoid(C_b . P_b)) * lr
+///   g_bk   = -sigmoid(C_b . N_k) * lr, or 0 when N_k is the row P_b
+///   grad_b = g_b0 * P_b + sum_k g_bk * N_k      (summed in k order)
+/// Then every row write adds to the row's current value, in this order:
+///   N_k += sum_b g_bk * C_b    (k in draw order, b in step order)
+///   P_b += g_b0 * C_b          (b in order)
+///   C_b += grad_b              (b in order)
+/// so a repeated negative, a positive that is also a negative, and a center
+/// or positive appearing twice all receive every update, deterministically.
+/// Each backend is bit-identical to that order composed from its own Dot,
+/// SigmoidTable, Zero, Axpy and Add. `grads` (n_steps * dim floats) and
+/// `coefs` (n_steps * (1 + n_negatives) floats) are caller-owned scratch.
+/// Centers must not be context rows (positives or negatives); rows must
+/// each either coincide or not overlap at all.
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim);
+
 /// Portable reference kernels; always available regardless of the active
 /// backend. The dispatched functions above are bit-compatible with these
 /// up to floating-point reassociation (Dot/Norm2) and FMA rounding
@@ -138,6 +163,11 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
                           std::size_t n_rows, bool first_positive, float lr,
                           const SigmoidTable& sigmoid, float* grad,
                           std::size_t dim);
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim);
 }  // namespace scalar
 
 /// HOGWILD row accessors. The asynchronous SGD trainers update shared
@@ -180,6 +210,11 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
                           std::size_t n_rows, bool first_positive, float lr,
                           const SigmoidTable& sigmoid, float* grad,
                           std::size_t dim);
+void SharedNegativeBlock(float* const* centers, float* const* positives,
+                         std::size_t n_steps, float* const* negatives,
+                         std::size_t n_negatives, float lr,
+                         const SigmoidTable& sigmoid, float* grads,
+                         float* coefs, std::size_t dim);
 }  // namespace relaxed
 
 /// Prefetches the first n floats at p into cache (write intent). Used by

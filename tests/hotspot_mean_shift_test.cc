@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -155,6 +160,120 @@ TEST(MeanShift1dTest, ModesWithinPeriod) {
   for (double m : *modes) {
     EXPECT_GE(m, 0.0);
     EXPECT_LT(m, 24.0);
+  }
+}
+
+/// MeanShiftModes1dCircular as it was with an fmod in its circular
+/// distance (options are taken as valid). Every distance it takes is
+/// between values already wrapped to [0, period), so the fmod returned its
+/// input unchanged; the library dropped it.
+std::vector<double> ModesWithDistanceFmod(const std::vector<double>& values,
+                                          double period,
+                                          const MeanShiftOptions& options) {
+  const double h = options.bandwidth;
+  const double two_pi = 2.0 * std::numbers::pi;
+  auto wrap = [&](double v) {
+    v = std::fmod(v, period);
+    if (v < 0.0) v += period;
+    if (v >= period) v = 0.0;
+    return v;
+  };
+  auto circ_dist = [&](double a, double b) {
+    double d = std::fabs(a - b);
+    d = std::fmod(d, period);
+    return d > period / 2.0 ? period - d : d;
+  };
+  const double seed_cell =
+      options.seed_grid_cell > 0.0 ? options.seed_grid_cell : h / 2.0;
+  const int n_bins =
+      std::max(1, static_cast<int>(std::ceil(period / seed_cell)));
+  std::vector<double> bin_sum(n_bins, 0.0);
+  std::vector<std::size_t> bin_count(n_bins, 0);
+  std::vector<double> wrapped;
+  for (double v : values) {
+    const double w = wrap(v);
+    wrapped.push_back(w);
+    const int b = std::min(n_bins - 1, static_cast<int>(w / seed_cell));
+    bin_sum[b] += w;
+    ++bin_count[b];
+  }
+  struct Mode {
+    double center;
+    std::size_t support;
+  };
+  std::vector<Mode> modes;
+  for (int b = 0; b < n_bins; ++b) {
+    if (bin_count[b] == 0) continue;
+    double y = bin_sum[b] / static_cast<double>(bin_count[b]);
+    std::size_t window_count = 0;
+    for (int iter = 0; iter < options.max_iterations; ++iter) {
+      double sin_sum = 0.0, cos_sum = 0.0;
+      std::size_t m = 0;
+      for (double v : wrapped) {
+        if (circ_dist(v, y) <= h) {
+          const double theta = two_pi * v / period;
+          sin_sum += std::sin(theta);
+          cos_sum += std::cos(theta);
+          ++m;
+        }
+      }
+      if (m == 0) break;
+      const double next =
+          wrap(std::atan2(sin_sum, cos_sum) / two_pi * period);
+      const double shift = circ_dist(next, y);
+      y = next;
+      window_count = m;
+      if (shift < options.convergence_tol) break;
+    }
+    if (window_count == 0) continue;
+    bool merged = false;
+    for (auto& mode : modes) {
+      if (circ_dist(mode.center, y) <= options.merge_radius) {
+        if (window_count > mode.support) {
+          mode.center = y;
+          mode.support = window_count;
+        }
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) modes.push_back({y, window_count});
+  }
+  std::sort(modes.begin(), modes.end(),
+            [](const Mode& a, const Mode& b) { return a.support > b.support; });
+  std::vector<double> out;
+  for (const auto& m : modes) out.push_back(m.center);
+  return out;
+}
+
+TEST(MeanShift1dTest, BitIdenticalToDistanceWithFmod) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<double> hours;
+    // Clusters (some across midnight) over a uniform background, wrapped
+    // to [0, 24); every other seed also feeds unwrapped values.
+    const bool unwrapped = seed % 2 == 0;
+    for (int i = 0; i < 400; ++i) {
+      const double peak = 6.0 * static_cast<double>(i % 4) + 0.5;
+      double v = i % 5 == 0 ? rng.UniformRange(0.0, 24.0)
+                            : rng.Gaussian(peak, 0.8);
+      if (unwrapped) v += 24.0 * static_cast<double>(i % 3 - 1);
+      hours.push_back(unwrapped ? v : std::fmod(v + 24.0, 24.0));
+    }
+    MeanShiftOptions options;
+    options.bandwidth = 0.5 + 0.25 * static_cast<double>(seed);
+    options.merge_radius = 0.4;
+    auto modes = MeanShiftModes1dCircular(hours, 24.0, options);
+    ASSERT_TRUE(modes.ok());
+    const std::vector<double> expected =
+        ModesWithDistanceFmod(hours, 24.0, options);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(modes->size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>((*modes)[i]),
+                std::bit_cast<uint64_t>(expected[i]))
+          << "seed " << seed << " mode " << i;
+    }
   }
 }
 

@@ -309,6 +309,34 @@ TEST(RuleServeReadOnly, AllowsNegativeSamplingStepReadingACenterRow) {
   EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 0);
 }
 
+TEST(RuleServeReadOnly, FiresOnRowInSharedNegativeBlockOutputs) {
+  // Every mutated argument: centers, positives, negatives, and the
+  // gradient and coefficient scratch.
+  const auto findings =
+      Lint({{"src/serve/x.cc",
+            "void f() {\n"
+            "  SharedNegativeBlock(&m.row(u), p, b, n, k, lr, sig, g, c, d);\n"
+            "  SharedNegativeBlock(cs, &m.row(u), b, n, k, lr, sig, g, c, d);\n"
+            "  SharedNegativeBlock(cs, p, b, &m.row(u), k, lr, sig, g, c, d);\n"
+            "  SharedNegativeBlock(cs, p, b, n, k, lr, sig, m.row(u), c, d);\n"
+            "  SharedNegativeBlock(cs, p, b, n, k, lr, sig, g, m.row(u), d);\n"
+            "}\n"}});
+  ASSERT_EQ(CountRule(findings, kRuleServeReadOnly), 5);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(findings[i].line, i + 2);
+}
+
+TEST(RuleServeReadOnly, AllowsSharedNegativeBlockReadingARowInAnInput) {
+  // A row read into an input argument (here the learning rate) mutates
+  // nothing; only the five mutated slots count.
+  const auto findings =
+      Lint({{"src/serve/x.cc",
+            "void f() {\n"
+            "  SharedNegativeBlock(cs, p, b, n, k, Dot(m.row(u), q, d), sig,\n"
+            "                      g, c, d);\n"
+            "}\n"}});
+  EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 0);
+}
+
 TEST(RuleServeReadOnly, AllowsReadsAndOtherDirectories) {
   const auto findings =
       Lint({{"src/eval/x.cc",

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -322,6 +323,173 @@ TEST(NegativeSamplingStepTest, BitIdenticalToPerRowCompositionOnEveryBackend) {
     for (std::size_t dim : {32u, 48u, 7u}) {
       for (const StepCase& c : cases) {
         ExpectStepMatchesReference(backend, dim, c);
+      }
+    }
+  }
+  SetVecBackend(original);
+}
+
+/// SharedNegativeBlock's contract, composed from the active backend's own
+/// Dot, SigmoidTable, Zero, Axpy and Add: every dot and center gradient
+/// from the start values, then the N_k, P_b and C_b writes in that order.
+void ReferenceBlock(float* const* centers, float* const* positives,
+                    std::size_t n_steps, float* const* negatives,
+                    std::size_t n_negatives, float lr,
+                    const SigmoidTable& sigmoid, std::size_t dim) {
+  const std::size_t stride = 1 + n_negatives;
+  std::vector<float> g(n_steps * stride);
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    g[b * stride] =
+        (1.0f - sigmoid(Dot(centers[b], positives[b], dim))) * lr;
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      g[b * stride + 1 + k] =
+          negatives[k] == positives[b]
+              ? 0.0f
+              : -sigmoid(Dot(centers[b], negatives[k], dim)) * lr;
+    }
+  }
+  std::vector<float> grads(n_steps * dim);
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    float* grad = grads.data() + b * dim;
+    Zero(grad, dim);
+    Axpy(g[b * stride], positives[b], grad, dim);
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      Axpy(g[b * stride + 1 + k], negatives[k], grad, dim);
+    }
+  }
+  for (std::size_t k = 0; k < n_negatives; ++k) {
+    for (std::size_t b = 0; b < n_steps; ++b) {
+      Axpy(g[b * stride + 1 + k], centers[b], negatives[k], dim);
+    }
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    Axpy(g[b * stride], centers[b], positives[b], dim);
+  }
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    Add(grads.data() + b * dim, centers[b], dim);
+  }
+}
+
+struct BlockCase {
+  std::string name;
+  std::vector<int> centers;    // indices into the center pool
+  std::vector<int> positives;  // indices into the context pool
+  std::vector<int> negatives;  // indices into the context pool
+};
+
+/// The block-step cases at one (steps, negatives) size: distinct rows,
+/// each aliasing the contract orders, and all of them at once.
+std::vector<BlockCase> BlockCases(int steps, int negatives) {
+  BlockCase base{"distinct rows", {}, {}, {}};
+  for (int b = 0; b < steps; ++b) {
+    base.centers.push_back(b);
+    base.positives.push_back(b);
+  }
+  for (int k = 0; k < negatives; ++k) base.negatives.push_back(steps + k);
+  std::vector<BlockCase> cases = {base};
+  BlockCase all = base;
+  all.name = "every aliasing at once";
+  auto add = [&](const char* name, auto mutate) {
+    BlockCase c = base;
+    c.name = name;
+    mutate(&c);
+    mutate(&all);
+    cases.push_back(c);
+  };
+  add("negative equals its own positive",
+      [](BlockCase* c) { c->negatives.back() = c->positives.front(); });
+  if (steps >= 2) {
+    add("negative equals another step's positive",
+        [](BlockCase* c) { c->negatives.front() = c->positives.back(); });
+    add("same center twice",
+        [](BlockCase* c) { c->centers.back() = c->centers.front(); });
+    add("same positive twice",
+        [](BlockCase* c) { c->positives.back() = c->positives.front(); });
+  }
+  if (negatives >= 2) {
+    // Adjacent draws: the AVX2 body handles negatives two at a time.
+    add("same negative twice in adjacent draws",
+        [](BlockCase* c) { c->negatives[1] = c->negatives[0]; });
+  }
+  if (negatives >= 4) {
+    add("same negative twice in distant draws",
+        [](BlockCase* c) { c->negatives[3] = c->negatives[1]; });
+  }
+  cases.push_back(all);
+  return cases;
+}
+
+/// Runs `c` through the kernel and the reference on identical copies of
+/// random center and context pools and checks every bit of both.
+void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
+                                 const BlockCase& c) {
+  constexpr std::size_t kCenterRows = 16;  // the largest chunk tested
+  constexpr std::size_t kContextRows = kCenterRows + 24;
+  Rng rng(2000 + dim);
+  std::vector<float> center_init(kCenterRows * dim);
+  std::vector<float> context_init(kContextRows * dim);
+  for (auto& x : center_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+  for (auto& x : context_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+  const SigmoidTable sigmoid;
+  SetVecBackend(backend);
+  auto run = [&](bool kernel, std::vector<float>* center_pool,
+                 std::vector<float>* context_pool) {
+    *center_pool = center_init;
+    *context_pool = context_init;
+    std::vector<float*> centers, positives, negatives;
+    for (int r : c.centers) centers.push_back(center_pool->data() + r * dim);
+    for (int r : c.positives) {
+      positives.push_back(context_pool->data() + r * dim);
+    }
+    for (int r : c.negatives) {
+      negatives.push_back(context_pool->data() + r * dim);
+    }
+    if (kernel) {
+      std::vector<float> grads(centers.size() * dim);
+      std::vector<float> coefs(centers.size() * (1 + negatives.size()));
+      SharedNegativeBlock(centers.data(), positives.data(), centers.size(),
+                          negatives.data(), negatives.size(), 0.3f, sigmoid,
+                          grads.data(), coefs.data(), dim);
+    } else {
+      ReferenceBlock(centers.data(), positives.data(), centers.size(),
+                     negatives.data(), negatives.size(), 0.3f, sigmoid, dim);
+    }
+  };
+  std::vector<float> center_kernel, context_kernel, center_ref, context_ref;
+  run(true, &center_kernel, &context_kernel);
+  run(false, &center_ref, &context_ref);
+  const std::string where = std::string(VecBackendName(backend)) + " " +
+                            c.name + " dim=" + std::to_string(dim) +
+                            " steps=" + std::to_string(c.centers.size()) +
+                            " negatives=" + std::to_string(c.negatives.size());
+  for (std::size_t i = 0; i < center_ref.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(center_kernel[i]),
+              std::bit_cast<uint32_t>(center_ref[i]))
+        << where << " center row=" << i / dim << " i=" << i % dim;
+  }
+  for (std::size_t i = 0; i < context_ref.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(context_kernel[i]),
+              std::bit_cast<uint32_t>(context_ref[i]))
+        << where << " context row=" << i / dim << " i=" << i % dim;
+  }
+  // The case must actually train: a no-op kernel would match a no-op
+  // reference.
+  ASSERT_NE(center_kernel, center_init) << where;
+}
+
+TEST(SharedNegativeBlockTest, BitIdenticalToContractOnEveryBackend) {
+  const VecBackend original = ActiveVecBackend();
+  std::vector<VecBackend> backends = {VecBackend::kScalar,
+                                      VecBackend::kRelaxed};
+  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
+  for (VecBackend backend : backends) {
+    for (std::size_t dim : {32u, 48u, 7u}) {
+      for (int steps : {1, 5, 16}) {
+        for (int negatives : {1, 5, 20}) {
+          for (const BlockCase& c : BlockCases(steps, negatives)) {
+            ExpectBlockMatchesReference(backend, dim, c);
+          }
+        }
       }
     }
   }

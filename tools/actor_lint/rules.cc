@@ -368,8 +368,8 @@ void CheckHogwild(const LexedFile& f, const std::vector<Region>& regions,
             {f.path, f.LineAt(row_pos), kRuleHogwild,
              "direct element access to a shared embedding row inside a "
              "HOGWILD region — go through the vec_math kernel API "
-             "(NegativeSamplingStep/FusedGradStep/Axpy/Add/...) or "
-             "RelaxedLoad/RelaxedStore"});
+             "(SharedNegativeBlock/NegativeSamplingStep/FusedGradStep/"
+             "Axpy/Add/...) or RelaxedLoad/RelaxedStore"});
       }
     }
   }
@@ -445,14 +445,20 @@ void CheckServeReadOnly(const LexedFile& f, std::vector<Finding>* out) {
   // (c) row() passed as the mutated argument of a mutating kernel.
   struct MutKernel {
     const char* name;
-    int mutated[2];  // 0-based arg indices; -1 = unused slot
+    int mutated[5];  // 0-based arg indices; -1 = unused slot
   };
   static constexpr MutKernel kKernels[] = {
-      {"Axpy", {2, -1}},       {"Scale", {1, -1}},
-      {"Add", {1, -1}},        {"Copy", {1, -1}},
-      {"Zero", {0, -1}},       {"NormalizeInPlace", {0, -1}},
-      {"FusedGradStep", {2, 3}}, {"RelaxedStore", {0, -1}},
-      {"NegativeSamplingStep", {1, 6}},
+      {"Axpy", {2, -1, -1, -1, -1}},
+      {"Scale", {1, -1, -1, -1, -1}},
+      {"Add", {1, -1, -1, -1, -1}},
+      {"Copy", {1, -1, -1, -1, -1}},
+      {"Zero", {0, -1, -1, -1, -1}},
+      {"NormalizeInPlace", {0, -1, -1, -1, -1}},
+      {"FusedGradStep", {2, 3, -1, -1, -1}},
+      {"RelaxedStore", {0, -1, -1, -1, -1}},
+      {"NegativeSamplingStep", {1, 6, -1, -1, -1}},
+      // Centers, positives, negatives, gradient and coefficient scratch.
+      {"SharedNegativeBlock", {0, 1, 3, 7, 8}},
   };
   for (const MutKernel& kernel : kKernels) {
     std::size_t kpos = 0;
