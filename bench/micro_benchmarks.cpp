@@ -1,11 +1,16 @@
 // Google-benchmark microbenchmarks for the performance-critical
 // substrates: alias sampling (claimed O(1), §5.2.3), the SGD inner step
 // (claimed O(d(K+1))), vector kernels, KDE, mean shift, tokenization, and
-// graph construction. Not tied to a paper table; used to validate the
-// complexity claims of §5.4.
+// graph construction, and the streaming edge store. Not tied to a paper
+// table; used to validate the complexity claims of §5.4.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <map>
+#include <utility>
+
+#include "core/online_edge_store.h"
 #include "data/synthetic.h"
 #include "data/tokenizer.h"
 #include "embedding/negative_sampler.h"
@@ -496,6 +501,110 @@ void BM_TypedNegativeSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TypedNegativeSample);
+
+/// The perfbench ingest stream's edge-store traffic: 1000-record batches of
+/// the streaming city preset (400 users, 12 topics, 80 venues), each
+/// record's co-occurrence pairs in OnlineActor::Ingest's order (time-
+/// location, location-word, word-time, word-word, then the user edges).
+/// Unit ids are handed out in first-appearance order as AddUnit does, with
+/// hour-of-day bins for time and 2-km grid cells for location.
+std::vector<std::vector<std::pair<VertexId, VertexId>>> EdgeStoreStream() {
+  SyntheticConfig config;
+  config.seed = 100;
+  config.num_records = 16000;
+  config.num_users = 400;
+  config.num_topics = 12;
+  config.num_venues = 80;
+  config.num_communities = 8;
+  auto ds = GenerateSynthetic(config);
+  auto corpus = TokenizedCorpus::Build(ds->corpus, CorpusBuildOptions());
+  std::map<std::pair<int, int64_t>, VertexId> units;
+  auto unit = [&units](int kind, int64_t key) {
+    const auto id = static_cast<VertexId>(units.size());
+    return units.emplace(std::make_pair(kind, key), id).first->second;
+  };
+  std::vector<std::vector<std::pair<VertexId, VertexId>>> batches;
+  std::vector<VertexId> words;
+  for (std::size_t r = 0; r < corpus->records().size(); ++r) {
+    if (r % 1000 == 0) batches.emplace_back();
+    auto& pairs = batches.back();
+    auto link = [&pairs](VertexId a, VertexId b) {
+      if (a != b) pairs.emplace_back(a, b);
+    };
+    const TokenizedRecord& rec = corpus->records()[r];
+    const VertexId t = unit(0, static_cast<int64_t>(HourOfDay(rec.timestamp)));
+    const VertexId l =
+        unit(1, static_cast<int64_t>(std::floor(rec.location.x / 2.0)) *
+                        1000003 +
+                    static_cast<int64_t>(std::floor(rec.location.y / 2.0)));
+    words.clear();
+    for (int32_t w : rec.word_ids) words.push_back(unit(2, w));
+    link(t, l);
+    for (VertexId w : words) {
+      link(l, w);
+      link(w, t);
+    }
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      for (std::size_t j = i + 1; j < words.size(); ++j) {
+        link(words[i], words[j]);
+      }
+    }
+    auto link_user = [&](VertexId user) {
+      link(user, t);
+      link(user, l);
+      for (VertexId w : words) link(user, w);
+    };
+    const VertexId u = unit(3, rec.user_id);
+    link_user(u);
+    for (int64_t m : rec.mentioned_user_ids) {
+      const VertexId mentioned = unit(3, m);
+      link_user(mentioned);
+      link(u, mentioned);
+    }
+  }
+  return batches;
+}
+
+/// One ingest cycle of an OnlineEdgeStore at perfbench batch size: decay
+/// (0.7, min weight 0.05, the OnlineActor defaults), one batch's
+/// accumulate burst, then the sampler refresh's degree walk (live vertices
+/// in ascending id, degree^(3/4)). All of a batch's pairs go to one store,
+/// so one cycle carries the accumulate work of all eight edge types. The
+/// stream's batches are replayed in a loop after a warm-up that brings the
+/// store to its steady live-edge count.
+void BM_EdgeStoreCycle(benchmark::State& state) {
+  static const auto* stream =
+      new std::vector<std::vector<std::pair<VertexId, VertexId>>>(
+          EdgeStoreStream());
+  OnlineEdgeStore store;
+  store.set_min_weight(0.05);
+  std::vector<VertexId> candidates;
+  std::vector<double> weights;
+  std::size_t next = 0;
+  int64_t accumulates = 0;
+  auto cycle = [&]() {
+    const auto& batch = (*stream)[next++ % stream->size()];
+    store.Decay(0.7);
+    for (const auto& [a, b] : batch) store.Accumulate(a, b);
+    candidates.clear();
+    weights.clear();
+    for (VertexId v = 0; v < store.vertex_bound(); ++v) {
+      if (store.incident_edges(v) == 0) continue;
+      candidates.push_back(v);
+      weights.push_back(std::pow(store.raw_degree(v), 0.75));
+    }
+    benchmark::DoNotOptimize(weights.data());
+    return static_cast<int64_t>(batch.size());
+  };
+  for (std::size_t i = 0; i < stream->size(); ++i) cycle();
+  for (auto _ : state) accumulates += cycle();
+  state.SetItemsProcessed(accumulates);
+  state.counters["live_edges"] = static_cast<double>(store.size());
+  state.counters["accumulates_per_cycle"] =
+      static_cast<double>(accumulates) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_EdgeStoreCycle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace actor

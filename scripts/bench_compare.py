@@ -16,9 +16,15 @@ sections and their metrics (see docs/benchmarking.md for every schema):
                 achieved_qps                              (higher is better)
   max_qps       max_sustainable_qps                       (higher is better)
 
-Rows are matched across the two files by their identity fields; every
-known metric present in BOTH files is compared, and changes in the bad
-direction beyond --threshold (default 10%) are reported. Sections or
+Rows are matched across the files by their identity fields; every known
+metric present in the baseline and the fresh runs is compared, and
+changes in the bad direction beyond --threshold (default 10%) are
+reported. Given several fresh runs of one harness, each row's metric is
+compared by its median across the runs, and the line also prints the
+runs' min/max and their quartile spread: (Q3 - Q1) / |median| from
+statistics.quantiles(values, n=4), the method of perfbench/spread.py. A
+spread above a third of the threshold is marked "wide": the runs scatter
+too much for a move of one threshold to mean anything. Sections or
 metric columns present in only one file — e.g. a baseline generated
 before a bench gained a new section — are warned about and skipped, never
 a hard error: check.sh --bench must keep working against old baselines.
@@ -30,8 +36,8 @@ committed numbers come from whatever container produced them, so raw
 cross-machine deltas are expected.
 
 Usage:
-  scripts/bench_compare.py BASELINE.json FRESH.json [--threshold=0.10]
-                           [--strict]
+  scripts/bench_compare.py BASELINE.json FRESH.json [FRESH2.json ...]
+                           [--threshold=0.10] [--strict]
   scripts/bench_compare.py --schema-check FILE.json [FILE2.json ...]
 
 --schema-check validates each listed file against the known-section
@@ -48,6 +54,7 @@ hook must not fail on machine drift.
 """
 
 import json
+import statistics
 import sys
 
 # section -> {metric: direction}; direction is the GOOD direction.
@@ -99,11 +106,11 @@ def parse_args(argv):
         if not paths:
             raise ValueError("--schema-check needs at least one JSON path")
         return paths, None, threshold, strict, True
-    if len(paths) != 2:
-        raise ValueError("need exactly two JSON paths (baseline, fresh)")
+    if len(paths) < 2:
+        raise ValueError("need a baseline and at least one fresh JSON path")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"--threshold must be in (0, 1), got {threshold}")
-    return paths[0], paths[1], threshold, strict, False
+    return paths[0], paths[1:], threshold, strict, False
 
 
 def row_key(row, metrics):
@@ -136,20 +143,32 @@ def describe(key):
     return " ".join(f"{k}={v}" for k, v in key)
 
 
-def compare_section(name, base_rows, fresh_rows, threshold, regressions):
-    """Prints the per-row diff of one section; returns #metrics compared."""
+def quartile_spread(values):
+    """(Q3 - Q1) / |median| of two or more runs, as perfbench/spread.py
+    reports it."""
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / abs(med) if med else float("inf")
+
+
+def compare_section(name, base_rows, fresh_runs, threshold, regressions):
+    """Prints the per-row diff of one section; returns #metrics compared.
+
+    fresh_runs holds one {row_key: row} map per fresh run; a row's metric
+    is compared by its median across the runs that have it.
+    """
     metrics = SECTIONS[name]
     compared = 0
     warned_metrics = set()
     for key, base in base_rows.items():
-        fresh = fresh_rows.get(key)
-        if fresh is None:
+        fresh = [rows[key] for rows in fresh_runs if key in rows]
+        if not fresh:
             print(f"  [{name}] missing in fresh run: {describe(key)}")
             continue
         for metric, good in metrics.items():
-            if metric not in base or metric not in fresh:
-                present_in = "fresh" if metric in fresh else "baseline"
-                if metric in base or metric in fresh:
+            values = [float(row[metric]) for row in fresh if metric in row]
+            if metric not in base or not values:
+                present_in = "fresh" if values else "baseline"
+                if metric in base or values:
                     if metric not in warned_metrics:
                         warned_metrics.add(metric)
                         print(
@@ -158,7 +177,7 @@ def compare_section(name, base_rows, fresh_rows, threshold, regressions):
                             f"baseline to compare it)"
                         )
                 continue
-            old, new = float(base[metric]), float(fresh[metric])
+            old, new = float(base[metric]), statistics.median(values)
             if old <= 0.0:
                 continue
             compared += 1
@@ -170,11 +189,17 @@ def compare_section(name, base_rows, fresh_rows, threshold, regressions):
             if bad > threshold:
                 marker = "  <-- REGRESSION"
                 regressions.append((name, key, metric, old, new, delta))
+            runs = ""
+            if len(values) > 1:
+                spread = quartile_spread(values)
+                wide = " wide" if spread > threshold / 3 else ""
+                runs = (f" [median of {len(values)}, min {min(values):.1f} "
+                        f"max {max(values):.1f}, spread {spread:.3f}{wide}]")
             print(
                 f"  [{name}] {describe(key)} {metric}: "
-                f"{old:.1f} -> {new:.1f} ({delta:+.1%}){marker}"
+                f"{old:.1f} -> {new:.1f} ({delta:+.1%}){runs}{marker}"
             )
-    for key in fresh_rows:
+    for key in set().union(*fresh_runs):
         if key not in base_rows:
             print(f"  [{name}] new row (no baseline): {describe(key)}")
     return compared
@@ -206,13 +231,13 @@ def schema_check(path):
 def main(argv):
     try:
         args = parse_args(argv)
-        base_path, fresh_path, threshold, strict, check_only = args
+        base_path, fresh_paths, threshold, strict, check_only = args
         if check_only:
             for path in base_path:
                 schema_check(path)
             return 0
         base_data, base_sections = load_sections(base_path)
-        _, fresh_sections = load_sections(fresh_path)
+        fresh_sections = [load_sections(path)[1] for path in fresh_paths]
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: {e}", file=sys.stderr)
         return 2
@@ -221,8 +246,8 @@ def main(argv):
     compared = 0
     for name in SECTIONS:
         base_rows = base_sections.get(name)
-        fresh_rows = fresh_sections.get(name)
-        if base_rows is None and fresh_rows is None:
+        fresh_runs = [f[name] for f in fresh_sections if name in f]
+        if base_rows is None and not fresh_runs:
             continue
         if base_rows is None:
             print(
@@ -230,12 +255,11 @@ def main(argv):
                 f"skipping (regenerate the baseline to compare it)"
             )
             continue
-        if fresh_rows is None:
-            print(f"  section '{name}' not in fresh run {fresh_path} — "
-                  f"skipping")
+        if not fresh_runs:
+            print(f"  section '{name}' not in any fresh run — skipping")
             continue
         compared += compare_section(
-            name, base_rows, fresh_rows, threshold, regressions
+            name, base_rows, fresh_runs, threshold, regressions
         )
 
     if compared == 0:

@@ -28,9 +28,11 @@
 #                                  # hash changed plus their call-graph
 #                                  # neighborhood (sub-second inner loop)
 #   scripts/check.sh --preset tsan # lint + a single preset's build/test
-#   scripts/check.sh --bench       # build default preset, rerun the
+#   scripts/check.sh --bench       # build default preset, run the
 #                                  # throughput benches + the open-loop
-#                                  # serving harness, and diff against the
+#                                  # serving harness 3 times each, and
+#                                  # diff each row's median (min/max and
+#                                  # quartile spread printed) against the
 #                                  # committed BENCH_*.json via
 #                                  # scripts/bench_compare.py (warns on
 #                                  # >10% drops / p99 rises; methodology:
@@ -198,18 +200,20 @@ if [ "$MODE" = "lint" ]; then
 fi
 
 # --- Benchmark regression hook --------------------------------------------
-# Rebuilds the default preset, reruns the throughput harnesses, and diffs
-# the fresh numbers against the committed BENCH_*.json baselines. Drops
-# beyond 10% print a REGRESSION warning but do not fail the gate: the
-# committed numbers carry machine drift, so the protocol (EXPERIMENTS.md,
-# "Benchmark workflow") is to A/B the prior commit on the same machine
-# before believing a drop.
+# Rebuilds the default preset, runs each harness BENCH_RUNS times, and
+# diffs each row's median across the runs against the committed
+# BENCH_*.json baselines; one run on this host spreads as wide as the
+# threshold. Drops beyond 10% print a REGRESSION warning but do not fail
+# the gate: the committed numbers carry machine drift, so the protocol
+# (EXPERIMENTS.md, "Benchmark workflow") is to A/B the prior commit on the
+# same machine before believing a drop.
 if [ "$MODE" = "bench" ]; then
   note "bench mode: rebuild + throughput comparison"
   cmake --preset default >/dev/null || { fail "configure"; exit 1; }
   cmake --build --preset default -j "$(nproc)" \
     --target sgd_throughput online_throughput query_throughput serve_load \
     || { fail "bench build"; exit 1; }
+  BENCH_RUNS=3
   BENCH_TMP=$(mktemp -d)
   trap 'rm -rf "$BENCH_TMP"' EXIT
   for bench in sgd online query serve; do
@@ -224,12 +228,16 @@ if [ "$MODE" = "bench" ]; then
     if [ ! -f "$json" ]; then
       echo "skip: no committed $json baseline"; continue
     fi
-    note "running $(basename "$bin")"
-    if ! "$bin" --out="$BENCH_TMP/$json"; then
-      fail "$(basename "$bin") run"; continue
-    fi
-    note "comparing $json (committed vs fresh)"
-    python3 scripts/bench_compare.py "$json" "$BENCH_TMP/$json" \
+    runs=()
+    for run in $(seq 1 "$BENCH_RUNS"); do
+      note "running $(basename "$bin") ($run/$BENCH_RUNS)"
+      if ! "$bin" --out="$BENCH_TMP/$run.$json"; then
+        fail "$(basename "$bin") run $run"; continue 2
+      fi
+      runs+=("$BENCH_TMP/$run.$json")
+    done
+    note "comparing $json (committed vs median of $BENCH_RUNS fresh runs)"
+    python3 scripts/bench_compare.py "$json" "${runs[@]}" \
       || fail "bench_compare on $json"
   done
   echo

@@ -201,10 +201,13 @@ Status OnlineActor::RefreshSamplers(int e) {
     noise.weights.clear();
     noise.valid = false;
   }
-  for (const auto& [v, d] : store.raw_degrees()) {
+  // Live vertices in ascending id, so each noise table's candidate order
+  // is a function of the store alone.
+  for (VertexId v = 0; v < store.vertex_bound(); ++v) {
+    if (store.incident_edges(v) == 0) continue;
     NoiseTable& noise = cache.noise[static_cast<int>(catalog_.types[v])];
     noise.candidates.push_back(v);
-    noise.weights.push_back(std::pow(d, 0.75));
+    noise.weights.push_back(std::pow(store.raw_degree(v), 0.75));
   }
   for (auto& noise : cache.noise) {
     if (noise.candidates.empty()) continue;

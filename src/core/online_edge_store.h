@@ -1,8 +1,8 @@
 #ifndef ACTOR_CORE_ONLINE_EDGE_STORE_H_
 #define ACTOR_CORE_ONLINE_EDGE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.h"
@@ -14,10 +14,13 @@ namespace actor {
 /// streaming pipeline (docs/streaming.md).
 ///
 /// The store keeps live edges in *flat, index-stable arrays* (`src`/`dst`/
-/// raw weights) plus a packed-pair hash index, so the per-batch re-embed
-/// cycle can rebuild its alias sampler straight from a contiguous weight
-/// vector instead of re-flattening a hash map — the incremental rebuild
-/// path of the OnlineActor substrate port.
+/// raw weights) plus a packed-pair index, so the per-batch re-embed cycle
+/// can rebuild its alias sampler straight from a contiguous weight vector
+/// instead of re-flattening a hash map — the incremental rebuild path of
+/// the OnlineActor substrate port. The index is a private open-addressing
+/// table (linear probing, load <= 1/2, backward-shift deletion), and the
+/// per-vertex degrees are dense arrays indexed by vertex id, so neither
+/// Accumulate() nor Decay() touches a node-based hash map.
 ///
 /// Two structural properties make the decay cycle cheap:
 ///
@@ -33,7 +36,9 @@ namespace actor {
 ///   churn.
 ///
 /// Per-vertex decayed degrees (the d^(3/4) negative-sampling masses) are
-/// maintained incrementally under the same uniform-scale trick.
+/// maintained incrementally under the same uniform-scale trick, next to a
+/// live incident-edge count per vertex: a vertex whose last edge drops gets
+/// a degree of exactly 0.
 ///
 /// Thread-compatibility: mutations are single-threaded (the ingest phase);
 /// during the re-embed phase the store is read-only.
@@ -91,11 +96,26 @@ class OnlineEdgeStore {
   /// Sum of all effective weights.
   double total_weight() const { return total_raw_ * scale_; }
 
-  /// Raw per-vertex decayed degrees (sum of incident raw weights), for
+  /// Raw decayed degree of vertex v (sum of incident raw weights), for
   /// building the noise distribution ∝ degree^(3/4). Uniformly scaled like
-  /// the edge weights, so relative masses survive decay unchanged.
-  const std::unordered_map<VertexId, double>& raw_degrees() const {
-    return raw_degree_;
+  /// the edge weights, so relative masses survive decay unchanged. Exactly
+  /// 0 for a vertex with no live edge (incident_edges(v) == 0), including
+  /// ids the store has never seen.
+  double raw_degree(VertexId v) const {
+    return static_cast<std::size_t>(v) < raw_degree_.size() ? raw_degree_[v]
+                                                             : 0.0;
+  }
+
+  /// Number of live edges incident to vertex v.
+  uint32_t incident_edges(VertexId v) const {
+    return static_cast<std::size_t>(v) < incident_.size() ? incident_[v] : 0;
+  }
+
+  /// One past the largest vertex id that ever had an edge here: every live
+  /// vertex is in [0, vertex_bound()), so walking that range in order
+  /// visits the live vertices in ascending id.
+  VertexId vertex_bound() const {
+    return static_cast<VertexId>(raw_degree_.size());
   }
 
   /// Monotonic counter bumped whenever the *relative* sampling
@@ -105,13 +125,25 @@ class OnlineEdgeStore {
   uint64_t version() const { return version_; }
 
   /// Debug-only O(E + V) consistency sweep: cached totals match the
-  /// arrays, the hash index is exact, and degrees equal the incident-weight
-  /// sums. With `after_decay` the decayed-weight floor is also enforced:
-  /// every live effective weight must be >= min_weight (Decay() just
-  /// compacted anything below it away; an Accumulate() may legitimately
-  /// insert smaller edges between decays). Returns true so it can sit
-  /// inside ACTOR_DCHECK.
+  /// arrays, the pair index is exact, and degrees and incident counts
+  /// equal the incident-weight sums and edge counts. With `after_decay`
+  /// the decayed-weight floor is also enforced: every live effective
+  /// weight must be >= min_weight (Decay() just compacted anything below
+  /// it away; an Accumulate() may legitimately insert smaller edges
+  /// between decays). Returns true so it can sit inside ACTOR_DCHECK.
   bool DebugCheckConsistent(bool after_decay = false) const;
+
+  /// Where the pair index keeps {a, b}, for tests of its probe paths: the
+  /// bucket count (0 before the first edge), the pair's home bucket, and
+  /// the bucket it sits in, kNotIndexed when the pair is not live. A
+  /// bucket below the home bucket means the probe run wrapped past the end.
+  static constexpr std::size_t kNotIndexed = ~std::size_t{0};
+  struct IndexProbe {
+    std::size_t buckets = 0;
+    std::size_t home = 0;
+    std::size_t bucket = kNotIndexed;
+  };
+  IndexProbe DebugIndexProbe(VertexId a, VertexId b) const;
 
  private:
   static uint64_t PackKey(VertexId a, VertexId b) {
@@ -125,7 +157,40 @@ class OnlineEdgeStore {
   /// preserving, so samplers stay valid.
   void RenormalizeIfNeeded();
 
-  void AddDegree(VertexId v, double raw_w);
+  /// Bucket of the pair index holding `key`, or kNotIndexed when the
+  /// pair is not live: a probe run from the key's home bucket that stops
+  /// at the key or at the first empty bucket.
+  std::size_t FindBucket(uint64_t key) const;
+  /// Slot of the undirected edge with packed key `key` in the edge arrays,
+  /// or kNoSlot when it is not live.
+  uint32_t FindSlot(uint64_t key) const;
+  /// Stores key -> slot in the first free bucket of key's probe run; the
+  /// key must be absent and the table below its load limit.
+  void InsertKey(uint64_t key, uint32_t slot);
+  /// Empties `bucket` and shifts the rest of its probe run back, so every
+  /// key stays reachable from its home bucket without tombstones.
+  void EraseBucket(std::size_t bucket);
+  /// Doubles the bucket count (at least kMinBuckets) and re-inserts every
+  /// live edge from the edge arrays.
+  void GrowIndex();
+  std::size_t HomeBucket(uint64_t key) const {
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    index_shift_);
+  }
+
+  /// Removes one live edge of raw weight `raw_w` from v; the last one
+  /// leaves a degree of exactly 0.
+  void RemoveIncident(VertexId v, double raw_w);
+
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+  /// No canonical pair packs to this: both halves are kInvalidVertex.
+  static constexpr uint64_t kEmptyKey = ~uint64_t{0};
+  static constexpr std::size_t kMinBuckets = 16;
+  struct IndexBucket {
+    uint64_t key = kEmptyKey;
+    uint32_t slot = kNoSlot;
+  };
 
   double min_weight_ = 0.05;
   double scale_ = 1.0;
@@ -135,8 +200,13 @@ class OnlineEdgeStore {
   std::vector<VertexId> src_;
   std::vector<VertexId> dst_;
   std::vector<double> raw_weight_;
-  std::unordered_map<uint64_t, uint32_t> index_;  // packed pair -> slot
-  std::unordered_map<VertexId, double> raw_degree_;
+  /// Pair index: packed pair -> edge slot, a power-of-two bucket count
+  /// (0 until the first edge), at most half full.
+  std::vector<IndexBucket> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
+  /// Dense per-vertex state, indexed by vertex id.
+  std::vector<double> raw_degree_;
+  std::vector<uint32_t> incident_;
 };
 
 }  // namespace actor
