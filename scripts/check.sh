@@ -16,9 +16,10 @@
 #   4. clang-tidy        — .clang-tidy over src/ (skipped if not installed)
 #   5. build/test matrix — the default / sanitize / tsan presets, each built
 #                          and run through ctest --output-on-failure. The
-#                          tsan preset runs the `tsan`-labeled HOGWILD smoke
-#                          tests under ThreadSanitizer and must produce zero
-#                          reports (suppressions: tsan.supp).
+#                          tsan preset runs the whole suite under
+#                          ThreadSanitizer (the `tsan` label marks the
+#                          HOGWILD/serving concurrency tests) and must
+#                          produce zero reports (suppressions: tsan.supp).
 #
 # Usage:
 #   scripts/check.sh               # everything

@@ -400,6 +400,74 @@ void SharedNegativeBlock(float* const* centers, float* const* positives,
 // --------------------------------------------------------------------------
 
 #ifdef ACTOR_VEC_X86
+
+// BlockCoefficients for the AVX2 SharedNegativeBlock body, eight
+// coefficients at a time. Each lane runs SigmoidTable::operator() on the
+// one table: clamp to +-kBound (so both gather indices stay inside it),
+// the same add, multiply, truncation and fraction, two gathers and the
+// same mul/mul/add lerp, then 1 at or above the bound and +0 at or below
+// it. The target has AVX2 but not FMA, so GCC cannot contract the lerp
+// and every lane rounds as the scalar table does. A lane q is a positive
+// row when q % (1 + K) == 0; tail lanes take the scalar table.
+__attribute__((target("avx2"))) void BlockCoefficientsAvx2(
+    const SigmoidTable& sigmoid, float* const* positives, std::size_t n_steps,
+    float* const* negatives, std::size_t n_negatives, float lr,
+    float* coefs) {
+  const std::size_t stride = 1 + n_negatives;
+  const std::size_t total = n_steps * stride;
+  // The clamp maps NaN to -kBound, where the scalar table's cast would
+  // trip float-cast-overflow in sanitizer builds; check the dots instead.
+  for (std::size_t q = 0; q < total; ++q) ACTOR_DCHECK_FINITE(coefs[q]);
+  const __m256 bound = _mm256_set1_ps(SigmoidTable::kBound);
+  const __m256 neg_bound = _mm256_set1_ps(-SigmoidTable::kBound);
+  const __m256 scale = _mm256_set1_ps(SigmoidTable::kScale);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  // rem holds q % stride for each lane of the current eight.
+  int first[8] = {};
+  for (int j = 0; j < 8; ++j) first[j] = static_cast<int>(j % stride);
+  __m256i rem = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(first));
+  const __m256i advance = _mm256_set1_epi32(static_cast<int>(8 % stride));
+  const __m256i wrap = _mm256_set1_epi32(static_cast<int>(stride));
+  const __m256i last = _mm256_set1_epi32(static_cast<int>(stride - 1));
+  std::size_t q = 0;
+  for (; q + 8 <= total; q += 8) {
+    const __m256 x = _mm256_loadu_ps(coefs + q);
+    const __m256 clamped = _mm256_min_ps(_mm256_max_ps(x, neg_bound), bound);
+    const __m256 pos = _mm256_mul_ps(_mm256_add_ps(clamped, bound), scale);
+    const __m256i idx = _mm256_cvttps_epi32(pos);
+    const __m256 frac = _mm256_sub_ps(pos, _mm256_cvtepi32_ps(idx));
+    const __m256 lo = _mm256_i32gather_ps(sigmoid.table_, idx, 4);
+    const __m256 hi = _mm256_i32gather_ps(sigmoid.table_ + 1, idx, 4);
+    __m256 s = _mm256_add_ps(_mm256_mul_ps(lo, _mm256_sub_ps(one, frac)),
+                             _mm256_mul_ps(hi, frac));
+    s = _mm256_blendv_ps(s, one, _mm256_cmp_ps(x, bound, _CMP_GE_OQ));
+    s = _mm256_andnot_ps(_mm256_cmp_ps(x, neg_bound, _CMP_LE_OQ), s);
+    const __m256 positive = _mm256_castsi256_ps(
+        _mm256_cmpeq_epi32(rem, _mm256_setzero_si256()));
+    const __m256 c = _mm256_blendv_ps(_mm256_xor_ps(s, sign),
+                                      _mm256_sub_ps(one, s), positive);
+    _mm256_storeu_ps(coefs + q, _mm256_mul_ps(c, vlr));
+    rem = _mm256_add_epi32(rem, advance);
+    rem = _mm256_sub_epi32(
+        rem, _mm256_and_si256(_mm256_cmpgt_epi32(rem, last), wrap));
+  }
+  for (; q < total; ++q) {
+    const float s = sigmoid(coefs[q]);
+    coefs[q] = q % stride == 0 ? (1.0f - s) * lr : -s * lr;
+  }
+  // A row is never its own negative.
+  for (std::size_t b = 0; b < n_steps; ++b) {
+    float* g = coefs + b * stride;
+    ACTOR_DCHECK_FINITE(g[0]);
+    for (std::size_t k = 0; k < n_negatives; ++k) {
+      if (negatives[k] == positives[b]) g[1 + k] = 0.0f;
+      ACTOR_DCHECK_FINITE(g[1 + k]);
+    }
+  }
+}
+
 namespace avx2 {
 
 #define ACTOR_AVX2_TARGET __attribute__((target("avx2,fma")))
@@ -805,18 +873,17 @@ ACTOR_AVX2_TARGET static void BlockUpdates(
   }
 }
 
-// Built for the baseline ISA on purpose, like NegativeSamplingStep: only
-// the dot and update passes may fuse multiplies and adds; the coefficients
-// go through the shared BlockCoefficients, so they round as
-// StepCoefficient does.
+// Only the dot and update passes may fuse multiplies and adds; the
+// coefficient pass is built without FMA, so it rounds as StepCoefficient
+// does.
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
                          const SigmoidTable& sigmoid, float* grads,
                          float* coefs, std::size_t dim) {
   BlockDots(centers, positives, n_steps, negatives, n_negatives, coefs, dim);
-  BlockCoefficients(positives, n_steps, negatives, n_negatives, lr, sigmoid,
-                    coefs);
+  BlockCoefficientsAvx2(sigmoid, positives, n_steps, negatives, n_negatives,
+                        lr, coefs);
   BlockUpdates(centers, positives, n_steps, negatives, n_negatives, coefs,
                grads, dim);
 }

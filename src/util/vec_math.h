@@ -259,6 +259,15 @@ class SigmoidTable {
   static constexpr float kBound = 8.0f;
 
  private:
+  // The AVX2 SharedNegativeBlock body's coefficient pass (vec_math.cc):
+  // this lookup eight lanes at a time, reading table_ and kScale in place.
+  friend void BlockCoefficientsAvx2(const SigmoidTable& sigmoid,
+                                    float* const* positives,
+                                    std::size_t n_steps,
+                                    float* const* negatives,
+                                    std::size_t n_negatives, float lr,
+                                    float* coefs);
+
   static constexpr int kTableSize = 1024;
   static constexpr float kScale = kTableSize / (2.0f * kBound);
   float table_[kTableSize + 2];

@@ -5,8 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -182,6 +184,25 @@ INSTANTIATE_TEST_SUITE_P(Sizes, VecSizeSweep,
                          ::testing::Values(0u, 1u, 2u, 3u, 7u, 16u, 31u, 64u,
                                            128u, 300u));
 
+#if defined(ACTOR_TSAN)
+// ThreadSanitizer builds install only the relaxed kernels: every request,
+// the static initializer's included, lands on kRelaxed.
+TEST(VecBackendTest, SetBackendRoundTrip) {
+  const VecBackend original = ActiveVecBackend();
+  for (VecBackend backend :
+       {VecBackend::kScalar, VecBackend::kAvx2, VecBackend::kRelaxed}) {
+    EXPECT_EQ(SetVecBackend(backend), VecBackend::kRelaxed)
+        << VecBackendName(backend);
+    EXPECT_EQ(ActiveVecBackend(), VecBackend::kRelaxed)
+        << VecBackendName(backend);
+  }
+  SetVecBackend(original);
+}
+
+TEST(VecBackendTest, DefaultIsBestAvailable) {
+  EXPECT_EQ(ActiveVecBackend(), VecBackend::kRelaxed);
+}
+#else
 TEST(VecBackendTest, SetBackendRoundTrip) {
   const VecBackend original = ActiveVecBackend();
   EXPECT_EQ(SetVecBackend(VecBackend::kScalar), VecBackend::kScalar);
@@ -203,6 +224,7 @@ TEST(VecBackendTest, DefaultIsBestAvailable) {
     EXPECT_EQ(ActiveVecBackend(), VecBackend::kScalar);
   }
 }
+#endif
 
 TEST(VecBackendTest, BackendNames) {
   EXPECT_STREQ(VecBackendName(VecBackend::kScalar), "scalar");
@@ -375,12 +397,15 @@ struct BlockCase {
   std::vector<int> centers;    // indices into the center pool
   std::vector<int> positives;  // indices into the context pool
   std::vector<int> negatives;  // indices into the context pool
+  // Empty: random rows. Otherwise the dot of each (step, row) pair in the
+  // kernel's coefs layout, made exact by unit center rows.
+  std::vector<float> dots;
 };
 
 /// The block-step cases at one (steps, negatives) size: distinct rows,
 /// each aliasing the contract orders, and all of them at once.
 std::vector<BlockCase> BlockCases(int steps, int negatives) {
-  BlockCase base{"distinct rows", {}, {}, {}};
+  BlockCase base{"distinct rows", {}, {}, {}, {}};
   for (int b = 0; b < steps; ++b) {
     base.centers.push_back(b);
     base.positives.push_back(b);
@@ -425,11 +450,31 @@ void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
                                  const BlockCase& c) {
   constexpr std::size_t kCenterRows = 16;  // the largest chunk tested
   constexpr std::size_t kContextRows = kCenterRows + 24;
-  Rng rng(2000 + dim);
   std::vector<float> center_init(kCenterRows * dim);
   std::vector<float> context_init(kContextRows * dim);
-  for (auto& x : center_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
-  for (auto& x : context_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+  if (c.dots.empty()) {
+    Rng rng(2000 + dim);
+    for (auto& x : center_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+    for (auto& x : context_init) x = 3.0f * (rng.UniformFloat() - 0.5f);
+  } else {
+    // Center row r is the unit vector e_r, and a context row holds its dot
+    // with step b's center at axis centers[b], so every dot is exactly the
+    // chosen value (a row that is a step's positive and one of its
+    // negatives keeps the positive's).
+    ASSERT_GE(dim, kCenterRows);
+    for (std::size_t r = 0; r < kCenterRows; ++r) {
+      center_init[r * dim + r] = 1.0f;
+    }
+    const std::size_t stride = 1 + c.negatives.size();
+    ASSERT_EQ(c.dots.size(), c.centers.size() * stride);
+    for (std::size_t b = 0; b < c.centers.size(); ++b) {
+      const std::size_t axis = c.centers[b];
+      for (std::size_t k = 0; k < c.negatives.size(); ++k) {
+        context_init[c.negatives[k] * dim + axis] = c.dots[b * stride + 1 + k];
+      }
+      context_init[c.positives[b] * dim + axis] = c.dots[b * stride];
+    }
+  }
   const SigmoidTable sigmoid;
   SetVecBackend(backend);
   auto run = [&](bool kernel, std::vector<float>* center_pool,
@@ -488,6 +533,74 @@ TEST(SharedNegativeBlockTest, BitIdenticalToContractOnEveryBackend) {
         for (int negatives : {1, 5, 20}) {
           for (const BlockCase& c : BlockCases(steps, negatives)) {
             ExpectBlockMatchesReference(backend, dim, c);
+          }
+        }
+      }
+    }
+  }
+  SetVecBackend(original);
+}
+
+/// The dots at which the coefficient pass's sigmoid lookup changes
+/// behaviour: every table-cell edge -kBound + i * 2 * kBound / 1024 (which
+/// includes +-kBound) with both nextafter neighbours, +-0 (Dot turns -0
+/// into +0), the smallest subnormals and +-1e30.
+std::vector<float> SigmoidEdgeDots() {
+  constexpr int kCells = 1024;  // SigmoidTable's cells over +-kBound
+  constexpr float kBound = SigmoidTable::kBound;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  std::vector<float> dots = {0.0f, -0.0f, sub, -sub, 1e30f, -1e30f};
+  for (int i = 0; i <= kCells; ++i) {
+    const float edge =
+        -kBound + static_cast<float>(i) * (2.0f * kBound / kCells);
+    dots.push_back(std::nextafter(edge, -kInf));
+    dots.push_back(edge);
+    dots.push_back(std::nextafter(edge, kInf));
+  }
+  return dots;
+}
+
+TEST(SharedNegativeBlockTest, SigmoidTableEdgesBitIdenticalOnEveryBackend) {
+  const std::vector<float> edges = SigmoidEdgeDots();
+  // Unit center rows need dim >= 16; 19 adds a scalar tail to each dot.
+  constexpr std::size_t kDim = 19;
+  // (steps, negatives): n_steps * (1 + K) of 6 (no whole eight-lane
+  // vector), 15, 15 and 22 leave a tail; 8, 96 and 336 do not.
+  const std::pair<int, int> shapes[] = {{1, 5}, {5, 2}, {3, 4}, {2, 10},
+                                        {4, 1}, {16, 5}, {16, 20}};
+  const VecBackend original = ActiveVecBackend();
+  std::vector<VecBackend> backends = {VecBackend::kScalar,
+                                      VecBackend::kRelaxed};
+  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
+  for (VecBackend backend : backends) {
+    for (const auto& [steps, negatives] : shapes) {
+      const std::size_t total = steps * (1 + negatives);
+      BlockCase base = BlockCases(steps, negatives).front();
+      base.name = "sigmoid edges";
+      // A negative that is its step's positive: at coefficient 1 (the
+      // first vector lane once total >= 8) and at the last coefficient (a
+      // tail lane when total is not a multiple of 8).
+      BlockCase first_lane = base;
+      first_lane.name = "sigmoid edges, own positive at coefficient 1";
+      first_lane.negatives.front() = first_lane.positives.front();
+      BlockCase last_lane = base;
+      last_lane.name = "sigmoid edges, own positive at the last coefficient";
+      last_lane.negatives.back() = last_lane.positives.back();
+      for (const BlockCase& shape : {base, first_lane, last_lane}) {
+        // Coefficient 0 is a fixed in-range dot, so every chunk trains;
+        // the others walk the edge list.
+        for (std::size_t at = 0; at < edges.size(); at += total - 1) {
+          BlockCase c = shape;
+          c.name += " from edge " + std::to_string(at);
+          c.dots = {0.5f};
+          for (std::size_t q = 1; q < total; ++q) {
+            c.dots.push_back(edges[(at + q - 1) % edges.size()]);
+          }
+          ExpectBlockMatchesReference(backend, kDim, c);
+          if (HasFatalFailure()) {
+            SetVecBackend(original);
+            return;
           }
         }
       }
