@@ -113,91 +113,13 @@ BENCHMARK(BM_DotBackend)
     ->Args({300, static_cast<int>(VecBackend::kScalar)})
     ->Args({300, static_cast<int>(VecBackend::kAvx2)});
 
-void BM_FusedGradStepBackend(benchmark::State& state) {
-  const auto backend = static_cast<VecBackend>(state.range(1));
-  BackendGuard guard(backend);
-  if (guard.applied() != backend) {
-    state.SkipWithError("backend unavailable");
-    return;
-  }
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
-  std::vector<float> center(dim, 0.5f), ctx(dim, 0.25f), grad(dim);
-  for (auto _ : state) {
-    FusedGradStep(1e-9f, center.data(), ctx.data(), grad.data(), dim);
-    benchmark::DoNotOptimize(ctx.data());
-    benchmark::DoNotOptimize(grad.data());
-  }
-  state.SetLabel(VecBackendName(backend));
-}
-BENCHMARK(BM_FusedGradStepBackend)
-    ->Args({64, static_cast<int>(VecBackend::kScalar)})
-    ->Args({64, static_cast<int>(VecBackend::kAvx2)})
-    ->Args({300, static_cast<int>(VecBackend::kScalar)})
-    ->Args({300, static_cast<int>(VecBackend::kAvx2)});
-
-/// One positive plus five negatives, pairwise-distinct rows of a
-/// 4096-row matrix (the common case of the SGD inner loop). Arg 2 picks the
-/// implementation: 0 = the NegativeSamplingStep kernel, 1 = the per-row
-/// Dot + SigmoidTable + FusedGradStep composition it replaced.
-void BM_NegativeSamplingStepBackend(benchmark::State& state) {
-  const auto backend = static_cast<VecBackend>(state.range(1));
-  BackendGuard guard(backend);
-  if (guard.applied() != backend) {
-    state.SkipWithError("backend unavailable");
-    return;
-  }
-  const int32_t dim = static_cast<int32_t>(state.range(0));
-  const bool per_row = state.range(2) != 0;
-  constexpr int32_t kRows = 4096;
-  constexpr std::size_t kStepRows = 6;
-  EmbeddingMatrix context(kRows, dim);
-  Rng init(1);
-  context.InitUniform(init);
-  std::vector<float> center(static_cast<std::size_t>(dim), 0.01f);
-  std::vector<float> grad(center.size());
-  const SigmoidTable sigmoid;
-  const std::size_t d = center.size();
-  float* rows[kStepRows] = {};
-  int32_t next = 0;
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < kStepRows; ++k) {
-      rows[k] = context.row(next);
-      next = (next + 617) % kRows;  // distinct within a step
-    }
-    if (per_row) {
-      for (std::size_t k = 0; k < kStepRows; ++k) {
-        const float score = sigmoid(Dot(center.data(), rows[k], d));
-        const float g = k == 0 ? (1.0f - score) * 1e-6f : -score * 1e-6f;
-        FusedGradStep(g, center.data(), rows[k], grad.data(), d);
-      }
-    } else {
-      NegativeSamplingStep(center.data(), rows, kStepRows, true, 1e-6f,
-                           sigmoid, grad.data(), d);
-    }
-    benchmark::DoNotOptimize(grad.data());
-    benchmark::ClobberMemory();
-  }
-  // Bytes moved per step: 6 rows read and written, plus the center read
-  // (grad stays in L1; docs/benchmarking.md, "Per-step SGD cost").
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>((2 * kStepRows + 1) * d *
-                                               sizeof(float)));
-  state.SetLabel(std::string(VecBackendName(backend)) +
-                 (per_row ? "/per-row" : "/kernel"));
-}
-BENCHMARK(BM_NegativeSamplingStepBackend)
-    ->ArgsProduct({{32, 128},
-                   {static_cast<int>(VecBackend::kScalar),
-                    static_cast<int>(VecBackend::kAvx2)},
-                   {0, 1}});
-
 /// One streaming-trainer chunk: 16 steps (distinct center rows of a
 /// 4096-row center matrix, distinct positive rows of a 4096-row context
 /// matrix) sharing 5 distinct negatives. Arg 2 picks the implementation:
-/// 0 = one SharedNegativeBlock call, 1 = the per-step trainer it replaced
-/// (per step: Zero the gradient, one NegativeSamplingStep over the positive
-/// and its own 5 negatives, Add the gradient to the center). Items are
-/// steps, so the time per item is the time per step.
+/// 0 = one SharedNegativeBlock call, 1 = 16 one-step calls, each over its
+/// positive and its own 5 negatives, as every batch trainer's
+/// NegativeSamplingUpdate makes them. Items are steps, so the time per
+/// item is the time per step.
 void BM_SharedNegativeBlock(benchmark::State& state) {
   const auto backend = static_cast<VecBackend>(state.range(1));
   BackendGuard guard(backend);
@@ -222,7 +144,6 @@ void BM_SharedNegativeBlock(benchmark::State& state) {
   float* centers[kSteps] = {};
   float* positives[kSteps] = {};
   float* negatives[kNegatives] = {};
-  float* rows[1 + kNegatives] = {};
   int32_t next_center = 0;
   int32_t next_context = 0;
   auto next_row = [](int32_t* r) {
@@ -237,14 +158,12 @@ void BM_SharedNegativeBlock(benchmark::State& state) {
     }
     if (per_step) {
       for (std::size_t b = 0; b < kSteps; ++b) {
-        rows[0] = positives[b];
         for (std::size_t k = 0; k < kNegatives; ++k) {
-          rows[1 + k] = context.row(next_row(&next_context));
+          negatives[k] = context.row(next_row(&next_context));
         }
-        Zero(grads.data(), d);
-        NegativeSamplingStep(centers[b], rows, 1 + kNegatives, true, 1e-6f,
-                             sigmoid, grads.data(), d);
-        Add(grads.data(), centers[b], d);
+        SharedNegativeBlock(&centers[b], &positives[b], 1, negatives,
+                            kNegatives, 1e-6f, sigmoid, grads.data(),
+                            coefs.data(), d);
       }
     } else {
       for (std::size_t k = 0; k < kNegatives; ++k) {
@@ -274,19 +193,6 @@ BENCHMARK(BM_SharedNegativeBlock)
                    {static_cast<int>(VecBackend::kScalar),
                     static_cast<int>(VecBackend::kAvx2)},
                    {0, 1}});
-
-/// The fused kernel against the two-pass Axpy pair it replaced.
-void BM_TwoPassGradStep(benchmark::State& state) {
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
-  std::vector<float> center(dim, 0.5f), ctx(dim, 0.25f), grad(dim);
-  for (auto _ : state) {
-    Axpy(1e-9f, ctx.data(), grad.data(), dim);
-    Axpy(1e-9f, center.data(), ctx.data(), dim);
-    benchmark::DoNotOptimize(ctx.data());
-    benchmark::DoNotOptimize(grad.data());
-  }
-}
-BENCHMARK(BM_TwoPassGradStep)->Arg(64)->Arg(300);
 
 void BM_SigmoidTable(benchmark::State& state) {
   static const SigmoidTable table;
@@ -321,12 +227,10 @@ void BM_SgdStep(benchmark::State& state) {
   const SigmoidTable sigmoid;
   Rng rng(2);
   for (auto _ : state) {
-    Zero(grad.data(), dim);
     NegativeSamplingUpdate(
         center.data(), 0, negatives, 0.02f, &context, sigmoid, rng,
         [](Rng& r) { return static_cast<VertexId>(r.Uniform(64)); },
         grad.data());
-    Add(grad.data(), center.data(), dim);
   }
 }
 BENCHMARK(BM_SgdStep)->Args({32, 1})->Args({32, 5})->Args({300, 1})

@@ -4,12 +4,12 @@
 // the streaming path's perf trajectory is tracked across PRs, alongside
 // BENCH_sgd.json for the batch trainer.
 //
-// Rows: full-rebuild mode (the pre-port behavior, via
-// incremental_sampler=false), the incremental-sampler path, and the
-// sparse-stream pure-decay column (empty Ingest() ticks, where the
-// version-stamped sampler cache skips the rebuild of every edge store
-// whose decay dropped no edge). See EXPERIMENTS.md for the machine-drift
-// caveat before comparing against committed numbers.
+// Rows: the incremental ingest path (samplers rebuilt in place only when
+// their edge store changed) and the sparse-stream pure-decay column (empty
+// Ingest() ticks, where the version-stamped sampler cache skips the
+// rebuild of every edge store whose decay dropped no edge). Each row is
+// the median of kRepeats runs on fresh models. See EXPERIMENTS.md for the
+// machine-drift caveat before comparing against committed numbers.
 //
 // Usage: online_throughput [--records=12000] [--batches=12] [--dim=32]
 //                          [--pure_decay_ticks=6] [--out=BENCH_online.json]
@@ -32,7 +32,7 @@ namespace actor {
 namespace {
 
 struct OnlineRow {
-  std::string sampler;  // "full_rebuild", "incremental", or "pure_decay"
+  std::string sampler;  // "incremental" or "pure_decay"
   double batches_per_sec = 0.0;
   double records_per_sec = 0.0;
 };
@@ -41,43 +41,76 @@ struct Workload {
   std::vector<std::vector<TokenizedRecord>> stream;
 };
 
-/// One timed run over the shared stream. Warm-up ingests bootstrap the
-/// unit catalogue and edge store so the timed section measures the
-/// steady-state decay -> refresh -> re-embed cycle, not cold growth.
-OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental) {
-  OnlineRow row;
-  row.sampler = incremental ? "incremental" : "full_rebuild";
+/// Runs per row. One pass is too short to time once, so each row repeats
+/// its run on kRepeats fresh models (identical bits each time) and reports
+/// the median rate.
+constexpr int kRepeats = 7;
 
+OnlineActorOptions BenchOptions(int32_t dim) {
   OnlineActorOptions options;
   options.dim = dim;
   options.decay_per_batch = 0.7;
   options.samples_per_edge_per_batch = 3.0;
-  options.incremental_sampler = incremental;
-  auto model = OnlineActor::Create(options);
+  return options;
+}
+
+/// Ingests work.stream[0, first) untimed, then times `timed` calls of
+/// `tick(model)`; returns the seconds, or a negative value on error.
+template <typename Tick>
+double TimeRun(const Workload& work, int32_t dim, std::size_t first,
+               int timed, Tick&& tick) {
+  auto model = OnlineActor::Create(BenchOptions(dim));
   if (!model.ok()) {
     std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-    return row;
+    return -1.0;
   }
-  const int batches = static_cast<int>(work.stream.size());
-  const int warm = batches / 3;
-  std::size_t timed_records = 0;
-  for (int i = 0; i < warm; ++i) {
+  for (std::size_t i = 0; i < first; ++i) {
     if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
       std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
+      return -1.0;
     }
   }
   Stopwatch timer;
-  for (int i = warm; i < batches; ++i) {
-    if (auto st = model->Ingest(work.stream[i]); !st.ok()) {
-      std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-      return row;
+  for (int i = 0; i < timed; ++i) {
+    if (auto st = tick(*model, i); !st.ok()) {
+      std::fprintf(stderr, "timed ingest: %s\n", st.ToString().c_str());
+      return -1.0;
     }
+  }
+  return timer.ElapsedSeconds();
+}
+
+/// The median of kRepeats TimeRun times; 0 on error.
+template <typename Tick>
+double MedianSeconds(const Workload& work, int32_t dim, std::size_t first,
+                     int timed, Tick&& tick) {
+  std::vector<double> secs;
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    secs.push_back(TimeRun(work, dim, first, timed, tick));
+    if (secs.back() < 0.0) return 0.0;
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
+}
+
+/// The steady-state ingest cycle: warm-up ingests bootstrap the unit
+/// catalogue and edge store so the timed section measures the
+/// decay -> refresh -> re-embed cycle, not cold growth.
+OnlineRow MeasureIngest(const Workload& work, int32_t dim) {
+  OnlineRow row;
+  row.sampler = "incremental";
+  const std::size_t warm = work.stream.size() / 3;
+  const int timed = static_cast<int>(work.stream.size() - warm);
+  std::size_t timed_records = 0;
+  for (std::size_t i = warm; i < work.stream.size(); ++i) {
     timed_records += work.stream[i].size();
   }
-  const double secs = timer.ElapsedSeconds();
+  auto ingest = [&work, warm](OnlineActor& model, int i) {
+    return model.Ingest(work.stream[warm + static_cast<std::size_t>(i)]);
+  };
+  const double secs = MedianSeconds(work, dim, warm, timed, ingest);
   if (secs > 0.0) {
-    row.batches_per_sec = static_cast<double>(batches - warm) / secs;
+    row.batches_per_sec = timed / secs;
     row.records_per_sec = static_cast<double>(timed_records) / secs;
   }
   return row;
@@ -88,50 +121,16 @@ OnlineRow MeasureIngest(const Workload& work, int32_t dim, bool incremental) {
 /// the decay ticks run against a realistic edge population. Each tick is
 /// decay + training, plus a sampler rebuild for every edge store whose
 /// decay dropped an edge (uniform decay alone keeps the cached samplers
-/// exact); the contrast with the incremental rows is the cost of the
-/// accumulate phase and the rebuilds decay does not trigger. A handful of
-/// ticks is too short to time once, so the ingest-then-ticks run repeats
-/// on kPureDecayRepeats fresh models (identical bits each time) and the
-/// row is the median rate. records_per_sec stays 0 — a decay tick carries
-/// no records.
-constexpr int kPureDecayRepeats = 7;
-
+/// exact); the contrast with the incremental row is the cost of the
+/// accumulate phase and the rebuilds decay does not trigger.
+/// records_per_sec stays 0 — a decay tick carries no records.
 OnlineRow MeasurePureDecay(const Workload& work, int32_t dim, int ticks) {
   OnlineRow row;
   row.sampler = "pure_decay";
-
-  OnlineActorOptions options;
-  options.dim = dim;
-  options.decay_per_batch = 0.7;
-  options.samples_per_edge_per_batch = 3.0;
-  options.incremental_sampler = true;
-  std::vector<double> rates;
-  for (int repeat = 0; repeat < kPureDecayRepeats; ++repeat) {
-    auto model = OnlineActor::Create(options);
-    if (!model.ok()) {
-      std::fprintf(stderr, "create: %s\n", model.status().ToString().c_str());
-      return row;
-    }
-    for (const auto& batch : work.stream) {
-      if (auto st = model->Ingest(batch); !st.ok()) {
-        std::fprintf(stderr, "ingest: %s\n", st.ToString().c_str());
-        return row;
-      }
-    }
-    Stopwatch timer;
-    for (int i = 0; i < ticks; ++i) {
-      if (auto st = model->Ingest({}); !st.ok()) {
-        std::fprintf(stderr, "decay tick: %s\n", st.ToString().c_str());
-        return row;
-      }
-    }
-    const double secs = timer.ElapsedSeconds();
-    if (secs > 0.0) rates.push_back(static_cast<double>(ticks) / secs);
-  }
-  if (!rates.empty()) {
-    std::sort(rates.begin(), rates.end());
-    row.batches_per_sec = rates[rates.size() / 2];
-  }
+  const double secs =
+      MedianSeconds(work, dim, work.stream.size(), ticks,
+                    [](OnlineActor& model, int) { return model.Ingest({}); });
+  if (secs > 0.0) row.batches_per_sec = ticks / secs;
   return row;
 }
 
@@ -183,8 +182,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<OnlineRow> rows;
-  rows.push_back(MeasureIngest(work, dim, /*incremental=*/false));
-  rows.push_back(MeasureIngest(work, dim, /*incremental=*/true));
+  rows.push_back(MeasureIngest(work, dim));
   if (decay_ticks > 0) {
     rows.push_back(MeasurePureDecay(work, dim, decay_ticks));
   }
@@ -200,10 +198,8 @@ int Main(int argc, char** argv) {
     }
     return 0.0;
   };
-  const double full1 = find("full_rebuild");
   const double inc1 = find("incremental");
   const double decay1 = find("pure_decay");
-  const double incremental_speedup = full1 > 0.0 ? inc1 / full1 : 0.0;
   const double pure_decay_speedup = inc1 > 0.0 ? decay1 / inc1 : 0.0;
 
   std::ofstream out(out_path);
@@ -232,10 +228,6 @@ int Main(int argc, char** argv) {
   }
   out << "  ],\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"incremental_sampler_speedup_1t\": %.3f,\n",
-                incremental_speedup);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
                 "  \"pure_decay_speedup_vs_ingest_1t\": %.3f\n",
                 pure_decay_speedup);
   out << buf;
@@ -245,8 +237,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "write to %s failed\n", out_path.c_str());
     return 1;
   }
-  std::printf("wrote %s (incremental x%.2f, pure decay x%.2f)\n",
-              out_path.c_str(), incremental_speedup, pure_decay_speedup);
+  std::printf("wrote %s (pure decay x%.2f)\n", out_path.c_str(),
+              pure_decay_speedup);
   return 0;
 }
 

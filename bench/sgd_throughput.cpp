@@ -2,8 +2,8 @@
 // steps/sec through EdgeSamplingTrainer (the §5.2.3 inner loop behind
 // every trainer in the repo) across kernel backends (scalar vs runtime
 // SIMD) and thread counts (1/2/4/8 on the persistent pool), plus the raw
-// kernel bandwidth of Dot/Axpy/FusedGradStep. Emits BENCH_sgd.json so the
-// perf trajectory is tracked across PRs.
+// kernel bandwidth of Dot/Axpy. Emits BENCH_sgd.json so the perf
+// trajectory is tracked across PRs.
 //
 // Usage: sgd_throughput [--dim=64] [--negatives=5] [--samples=300000]
 //                       [--out=BENCH_sgd.json]
@@ -89,7 +89,7 @@ double MeasureStepsPerSec(const BuiltGraphs& graphs, EdgeType edge_type,
 
 double MeasureKernelGflops(const char* kernel, int dim) {
   const std::size_t n = static_cast<std::size_t>(dim);
-  std::vector<float> x(n, 0.5f), y(n, 0.25f), z(n, 0.125f);
+  std::vector<float> x(n, 0.5f), y(n, 0.25f);
   const int64_t reps = 2'000'000;
   Stopwatch timer;
   // Plain accumulator + one volatile store at the end: compound assignment
@@ -98,22 +98,15 @@ double MeasureKernelGflops(const char* kernel, int dim) {
   float acc = 0.0f;
   if (std::string(kernel) == "dot") {
     for (int64_t r = 0; r < reps; ++r) acc += Dot(x.data(), y.data(), n);
-  } else if (std::string(kernel) == "axpy") {
+  } else {  // axpy
     for (int64_t r = 0; r < reps; ++r) Axpy(1e-9f, x.data(), y.data(), n);
     acc += y[0];
-  } else {  // fused_grad_step
-    for (int64_t r = 0; r < reps; ++r) {
-      FusedGradStep(1e-9f, x.data(), y.data(), z.data(), n);
-    }
-    acc += z[0];
   }
   volatile float sink = acc;
   (void)sink;
   const double secs = timer.ElapsedSeconds();
-  // dot: 2n flops; axpy: 2n; fused: 4n.
-  const double flops_per_rep =
-      std::string(kernel) == "fused_grad_step" ? 4.0 * dim : 2.0 * dim;
-  return secs > 0.0 ? flops_per_rep * reps / secs / 1e9 : 0.0;
+  // dot and axpy: 2n flops each.
+  return secs > 0.0 ? 2.0 * dim * reps / secs / 1e9 : 0.0;
 }
 
 int Main(int argc, char** argv) {
@@ -150,7 +143,7 @@ int Main(int argc, char** argv) {
   for (VecBackend backend : backends) {
     SetVecBackend(backend);
     const char* name = VecBackendName(ActiveVecBackend());
-    for (const char* kernel : {"dot", "axpy", "fused_grad_step"}) {
+    for (const char* kernel : {"dot", "axpy"}) {
       for (int kdim : {32, 64, 128, 300}) {
         kernel_rows.push_back(
             {kernel, name, kdim, MeasureKernelGflops(kernel, kdim)});

@@ -18,11 +18,15 @@
 namespace actor {
 namespace {
 
+/// Rows of dim floats in one shard's TrainRecordBagOfWords scratch.
+constexpr std::size_t kRecordScratchRows = 4;
+
 Status ValidateOptions(const ActorOptions& options) {
   if (options.dim <= 0) return Status::InvalidArgument("dim must be positive");
   if (options.negatives < 1) {
     return Status::InvalidArgument("negatives must be >= 1");
   }
+  ACTOR_RETURN_NOT_OK(ValidateNegatives(options.negatives));
   if (options.initial_lr <= 0.0f) {
     return Status::InvalidArgument("learning rate must be positive");
   }
@@ -114,36 +118,31 @@ void InitializeFromUserEmbeddings(const BuiltGraphs& graphs,
 
 /// One bag-of-words record step (footnote 4): the record's words act as a
 /// single summed center vector that predicts the record's location unit,
-/// time unit, and each of its words; the accumulated center gradient is
+/// time unit, and each of its words; the center gradient of each step is
 /// distributed to every member word. The record's T-L pair trains as two
-/// plain skip-gram steps. `comp_buf`, `grad_buf` and `grad2_buf` are the
-/// caller's per-shard scratch, dim floats each.
+/// plain skip-gram steps. `scratch` is the caller's per-shard scratch of
+/// kRecordScratchRows * dim floats.
 void TrainRecordBagOfWords(const RecordUnits& units,
                            const TypedNegativeSampler& noise,
                            const SigmoidTable& sigmoid, int negatives,
                            float lr, bool sum_composite, Rng& rng,
                            EmbeddingMatrix* center, EmbeddingMatrix* context,
-                           float* comp_buf, float* grad_buf,
-                           float* grad2_buf) {
+                           float* scratch) {
   const std::size_t dim = static_cast<std::size_t>(center->dim());
   const auto& words = units.word_units;
   auto neg = [&noise](EdgeType e, VertexType t) {
     return [&noise, e, t](Rng& r) { return noise.Sample(e, t, r); };
   };
+  float* const grad = scratch;
 
   // T-L pair (both orientations).
   if (units.time_unit != units.location_unit) {
-    float* grad = grad_buf;
-    Zero(grad, dim);
     NegativeSamplingUpdate(center->row(units.time_unit), units.location_unit,
                            negatives, lr, context, sigmoid, rng,
                            neg(EdgeType::kTL, VertexType::kLocation), grad);
-    Add(grad, center->row(units.time_unit), dim);
-    Zero(grad, dim);
     NegativeSamplingUpdate(center->row(units.location_unit), units.time_unit,
                            negatives, lr, context, sigmoid, rng,
                            neg(EdgeType::kTL, VertexType::kTime), grad);
-    Add(grad, center->row(units.location_unit), dim);
   }
   if (words.empty()) return;
 
@@ -151,28 +150,33 @@ void TrainRecordBagOfWords(const RecordUnits& units,
   // vectors (footnote 4 takes the sum; the mean differs only by a scale
   // factor and keeps the sigmoid inputs in the same range as single-unit
   // steps, which matters at small d).
-  float* comp = comp_buf;
+  float* const comp = scratch + dim;
   Zero(comp, dim);
   for (VertexId w : words) Add(center->row(w), comp, dim);
   if (!sum_composite) {
     Scale(1.0f / static_cast<float>(words.size()), comp, dim);
   }
 
-  // Bag -> location and bag -> time.
-  float* grad = grad_buf;
-  Zero(grad, dim);
-  NegativeSamplingUpdate(comp, units.location_unit, negatives, lr, context,
-                         sigmoid, rng,
+  // Bag -> location and bag -> time. Each step trains its own copy of the
+  // composite, so both see the same one; their summed center gradients go
+  // to every member word.
+  float* const step_center = scratch + 2 * dim;
+  float* const grad2 = scratch + 3 * dim;
+  Copy(comp, step_center, dim);
+  NegativeSamplingUpdate(step_center, units.location_unit, negatives, lr,
+                         context, sigmoid, rng,
                          neg(EdgeType::kLW, VertexType::kLocation), grad);
-  NegativeSamplingUpdate(comp, units.time_unit, negatives, lr, context,
+  Copy(comp, step_center, dim);
+  NegativeSamplingUpdate(step_center, units.time_unit, negatives, lr, context,
                          sigmoid, rng, neg(EdgeType::kWT, VertexType::kTime),
-                         grad);
+                         grad2);
+  Add(grad2, grad, dim);
   for (VertexId w : words) Add(grad, center->row(w), dim);
 
   // Bag-minus-self -> each word (the WW relation under the bag model).
   if (words.size() >= 2) {
     const float n_words = static_cast<float>(words.size());
-    float* comp_minus = grad2_buf;
+    float* const comp_minus = step_center;
     for (VertexId w : words) {
       // Composite of the other words: sum - x_w, or its mean
       // (n * comp - x_w) / (n - 1) under the mean composite.
@@ -180,7 +184,6 @@ void TrainRecordBagOfWords(const RecordUnits& units,
       if (!sum_composite) Scale(n_words, comp_minus, dim);
       Axpy(-1.0f, center->row(w), comp_minus, dim);
       if (!sum_composite) Scale(1.0f / (n_words - 1.0f), comp_minus, dim);
-      Zero(grad, dim);
       NegativeSamplingUpdate(comp_minus, w, negatives, lr, context, sigmoid,
                              rng, neg(EdgeType::kWW, VertexType::kWord), grad);
       for (VertexId other : words) {
@@ -191,17 +194,13 @@ void TrainRecordBagOfWords(const RecordUnits& units,
 
   // Location/time predict individual words as contexts, keeping both
   // directions of the LW/WT types trained under the bag model as well.
-  Zero(grad, dim);
   const VertexId some_word = words[rng.Uniform(words.size())];
   NegativeSamplingUpdate(center->row(units.location_unit), some_word,
                          negatives, lr, context, sigmoid, rng,
                          neg(EdgeType::kLW, VertexType::kWord), grad);
-  Add(grad, center->row(units.location_unit), dim);
-  Zero(grad, dim);
   NegativeSamplingUpdate(center->row(units.time_unit), some_word, negatives,
                          lr, context, sigmoid, rng,
                          neg(EdgeType::kWT, VertexType::kWord), grad);
-  Add(grad, center->row(units.time_unit), dim);
 }
 
 }  // namespace
@@ -246,7 +245,6 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   if (options.use_inter && options.init_from_users && has_user_graph) {
     LineOptions user_opts;
     user_opts.dim = options.dim;
-    user_opts.order = 2;
     user_opts.negatives = std::max(options.negatives, 5);
     user_opts.samples_per_edge = options.user_pretrain_samples_per_edge;
     user_opts.num_threads = options.num_threads;
@@ -309,11 +307,11 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
   // dispatch boundary: the record shard body runs on the hot path and
   // must not allocate.
   const std::size_t record_shards = pool == nullptr ? 1 : pool->num_threads();
-  // One cache-line-padded slot per shard holds its composite, gradient
-  // and second-gradient buffers (dim floats each).
+  // One cache-line-padded slot per shard holds its gradient, composite,
+  // step-center and second-gradient buffers (dim floats each).
   const std::size_t dim = static_cast<std::size_t>(options.dim);
-  WorkerScratch rec_scratch(record_shards,
-                            options.use_bag_of_words ? 3 * dim : 0);
+  WorkerScratch rec_scratch(
+      record_shards, options.use_bag_of_words ? kRecordScratchRows * dim : 0);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const float frac =
         static_cast<float>(epoch) / static_cast<float>(options.epochs);
@@ -343,15 +341,13 @@ Result<ActorModel> TrainActor(const BuiltGraphs& graphs,
       // the shard body uses only the caller-owned per-shard scratch.
       auto run_records = [&](int64_t count, uint64_t seed, int t) {
         Rng shard_rng(seed);
-        float* const rec_comp = rec_scratch.slot(static_cast<std::size_t>(t));
+        float* const scratch = rec_scratch.slot(static_cast<std::size_t>(t));
         for (int64_t i = 0; i < count; ++i) {
           const auto& units =
               graphs.record_units[shard_rng.Uniform(graphs.record_units.size())];
           TrainRecordBagOfWords(units, noise, sigmoid, options.negatives, lr,
                                 options.bow_sum_composite, shard_rng,
-                                &model.center, &model.context,
-                                rec_comp, rec_comp + dim,
-                                rec_comp + 2 * dim);
+                                &model.center, &model.context, scratch);
         }
       };
       const uint64_t record_step = 1000 + static_cast<uint64_t>(epoch);

@@ -183,11 +183,6 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
 Status OnlineActor::RefreshSamplers(int e) {
   const OnlineEdgeStore& store = edges_[e];
   SamplerCache& cache = samplers_[e];
-  if (!options_.incremental_sampler) {
-    // A/B lever: reconstruct from scratch every batch, releasing storage,
-    // as the pre-port implementation did.
-    cache = SamplerCache();
-  }
   if (cache.built && cache.version == store.version()) {
     // Pure-decay batch for this type: uniform decay preserves the relative
     // distribution, so the cached tables are still exact.

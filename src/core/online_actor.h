@@ -53,13 +53,6 @@ struct OnlineActorOptions {
 
   /// Train user edge types (UT/UW/UL) as in ACTOR's inter structure.
   bool use_user_edges = true;
-
-  /// When true (default), per-edge-type samplers are cached across batches
-  /// and rebuilt in place only when the underlying decayed distribution
-  /// actually changed (OnlineEdgeStore::version()). When false, every
-  /// batch reconstructs all samplers from scratch — the pre-port behavior,
-  /// kept as an A/B lever for bench/online_throughput.
-  bool incremental_sampler = true;
 };
 
 /// Streaming hierarchical cross-modal embedding: ingests record batches,

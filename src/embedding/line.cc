@@ -52,9 +52,7 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   if (options.dim <= 0) {
     return Status::InvalidArgument("dim must be positive");
   }
-  if (options.order != 1 && options.order != 2) {
-    return Status::InvalidArgument("order must be 1 or 2");
-  }
+  ACTOR_RETURN_NOT_OK(ValidateNegatives(options.negatives));
   std::vector<EdgeType> types =
       options.edge_types.empty() ? NonEmptyTypes(graph) : options.edge_types;
   PooledEdges pooled = PoolEdges(graph, types);
@@ -70,14 +68,10 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
   result.center = EmbeddingMatrix(graph.num_vertices(), options.dim);
   Rng init_rng(options.seed);
   result.center.InitUniform(init_rng);
-  // Second order uses a distinct context matrix initialized to zero
-  // (word2vec convention); first order shares the vertex matrix.
-  const bool second_order = options.order == 2;
-  if (second_order) {
-    result.context = EmbeddingMatrix(graph.num_vertices(), options.dim);
-    result.context.InitZero();
-  }
-  EmbeddingMatrix* context = second_order ? &result.context : &result.center;
+  // Second-order proximity: a distinct context matrix initialized to zero
+  // (word2vec convention).
+  result.context = EmbeddingMatrix(graph.num_vertices(), options.dim);
+  result.context.InitZero();
 
   const int64_t total_samples =
       options.total_samples > 0
@@ -116,11 +110,9 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
       const std::size_t idx = edge_table.Sample(rng);
       const VertexId u = pooled.src[idx];
       const VertexId v = pooled.dst[idx];
-      Zero(grad, dim);
       NegativeSamplingUpdate(
-          result.center.row(u), v, options.negatives, lr, context, sigmoid,
-          rng, [&noise](Rng& r) { return noise.Sample(r); }, grad);
-      Add(grad, result.center.row(u), dim);
+          result.center.row(u), v, options.negatives, lr, &result.context,
+          sigmoid, rng, [&noise](Rng& r) { return noise.Sample(r); }, grad);
     }
   };
 
@@ -133,7 +125,6 @@ Result<LineEmbedding> TrainLine(const Heterograph& graph,
                        });
   }
 
-  if (!second_order) result.context = result.center.Clone();
   return result;
 }
 

@@ -11,13 +11,11 @@ namespace actor {
 
 class ThreadPool;
 
-/// Options for LINE [24] training.
+/// Options for LINE [24] training with second-order proximity (separate
+/// center and context matrices), the variant the paper's baseline uses.
 struct LineOptions {
   int32_t dim = 32;
-  /// 1 preserves first-order proximity (shared vertex matrix on both sides
-  /// of the sigmoid); 2 preserves second-order proximity (separate context
-  /// matrix). Paper baseline uses second order.
-  int order = 2;
+  /// K in Eq. (7), at most kMaxNegatives.
   int negatives = 5;
   float initial_lr = 0.025f;
   /// Total sampled edges; 0 derives samples_per_edge * |directed edges|.
@@ -37,8 +35,7 @@ struct LineOptions {
 };
 
 /// A trained embedding pair. `center` holds the vertex representations
-/// used by all downstream tasks; `context` is the output-side matrix (for
-/// order 1 it is a copy of center).
+/// used by all downstream tasks; `context` is the output-side matrix.
 struct LineEmbedding {
   EmbeddingMatrix center;
   EmbeddingMatrix context;

@@ -49,6 +49,7 @@ Status EdgeSamplingTrainer::Prepare() {
   if (center_->dim() != context_->dim()) {
     return Status::InvalidArgument("center/context dims differ");
   }
+  ACTOR_RETURN_NOT_OK(ValidateNegatives(options_.negatives));
   edge_tables_.resize(kNumEdgeTypes);
   for (int e = 0; e < kNumEdgeTypes; ++e) {
     const auto& edges = graph_->edges(static_cast<EdgeType>(e));
@@ -128,14 +129,12 @@ void EdgeSamplingTrainer::TrainShard(EdgeType e, int64_t num_samples,
       const VertexId u = edges.src[idx];
       const VertexId v = edges.dst[idx];
       const VertexType ctx_type = graph_->vertex_type(v);
-      Zero(grad, dim);
-      NegativeSamplingUpdate(
+      NegativeSamplingUpdate(  // Eq. (12)
           center_->row(u), v, options_.negatives, lr, context_, sigmoid_, rng,
           [this, e, ctx_type](Rng& r) {
             return negative_sampler_->Sample(e, ctx_type, r);
           },
           grad);
-      Add(grad, center_->row(u), dim);  // Eq. (12)
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "embedding/embedding_matrix.h"
@@ -59,59 +60,59 @@ class WorkerScratch {
   float* base_ = nullptr;
 };
 
-/// One negative-sampling objective evaluation (Eq. (7)) for a *given*
-/// center vector against one positive context vertex plus `negatives`
-/// noise vertices.
-///
-/// Performs the context-side updates of Eqs. (9)-(10) in place on
-/// `context` and *accumulates* the center-side gradient of Eq. (8) into
-/// `grad_out` (length dim, caller-zeroed) instead of applying it. This
-/// split lets one code path serve the plain per-edge update (apply
-/// grad_out to the single center row) and the bag-of-words composite
-/// update of the intra-record meta-graph (footnote 4; apply grad_out to
-/// every member word row).
+/// Most negatives one NegativeSamplingUpdate step draws (K in Eq. (7)).
+/// The step keeps its rows on the stack, so every batch trainer rejects a
+/// larger K with InvalidArgument (ValidateNegatives).
+inline constexpr int kMaxNegatives = 64;
+
+/// OK when `negatives` is a K that NegativeSamplingUpdate can take.
+inline Status ValidateNegatives(int negatives) {
+  if (negatives < 0 || negatives > kMaxNegatives) {
+    return Status::InvalidArgument("negatives must be in [0, " +
+                                   std::to_string(kMaxNegatives) + "]");
+  }
+  return Status::OK();
+}
+
+/// One negative-sampling SGD step (Eq. (7), updates of Eqs. (8)-(10)) of
+/// the `center` row against one positive context vertex plus `negatives`
+/// (at most kMaxNegatives) noise draws: one SharedNegativeBlock call with
+/// n_steps == 1. The context rows and `center` are updated in place;
+/// `grads` (dim floats) receives the center gradient of Eq. (8), already
+/// added to `center`. A bag-of-words step (footnote 4) passes a scratch
+/// composite as `center` and adds `grads` to every member word row.
 ///
 /// `sample_negative(rng)` returns a noise vertex id (or kInvalidVertex to
-/// skip one draw). Called from every trainer shard: context rows are
-/// shared, so they must only be touched through the fused kernels (the
-/// analyzer derives this HOGWILD scope from the dispatch call graph).
-///
-/// The negatives are drawn into a fixed stack array first and the whole
-/// step runs as one NegativeSamplingStep kernel call (one per chunk of
-/// kMaxStepRows rows when `negatives` is larger). Draws never read rows, so
-/// the RNG stream — and, by the kernel's contract, every updated bit — is
-/// the same as drawing and updating one negative at a time.
+/// skip one draw); a draw equal to the positive is skipped too. A step
+/// whose draws leave no negative passes the positive row as its one
+/// negative, which the kernel zeroes, so the positive still trains. Called
+/// from every trainer shard: context rows are shared, so they must only be
+/// touched through the kernels (the analyzer derives this HOGWILD scope
+/// from the dispatch call graph). `center` must not be a context row.
 template <typename NegativeFn>
-void NegativeSamplingUpdate(const float* center_vec, VertexId positive,
-                            int negatives, float lr, EmbeddingMatrix* context,
+void NegativeSamplingUpdate(float* center, VertexId positive, int negatives,
+                            float lr, EmbeddingMatrix* context,
                             const SigmoidTable& sigmoid, Rng& rng,
-                            NegativeFn&& sample_negative, float* grad_out) {
-  const std::size_t dim = static_cast<std::size_t>(context->dim());
-  std::array<float*, kMaxStepRows> rows{};
-  rows[0] = context->row(positive);  // label 1, Eqs. (8)+(9)
-  std::size_t n = 1;
-  bool first_positive = true;
+                            NegativeFn&& sample_negative, float* grads) {
+  ACTOR_DCHECK(negatives <= kMaxNegatives);
+  float* pos_row = context->row(positive);  // label 1, Eqs. (8)+(9)
+  std::array<float*, kMaxNegatives> rows;
+  std::size_t n = 0;
   for (int k = 0; k < negatives; ++k) {
     const VertexId neg = sample_negative(rng);
     if (neg == kInvalidVertex || neg == positive) continue;
     rows[n++] = context->row(neg);  // label 0, Eqs. (8)+(10)
-    if (n == kMaxStepRows) {
-      NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
-                           sigmoid, grad_out, dim);
-      n = 0;
-      first_positive = false;
-    }
   }
-  if (n > 0) {
-    NegativeSamplingStep(center_vec, rows.data(), n, first_positive, lr,
-                         sigmoid, grad_out, dim);
-  }
+  if (n == 0) rows[n++] = pos_row;
+  std::array<float, 1 + kMaxNegatives> coefs;
+  SharedNegativeBlock(&center, &pos_row, 1, rows.data(), n, lr, sigmoid, grads,
+                      coefs.data(), static_cast<std::size_t>(context->dim()));
 }
 
 /// Shared options for the edge-sampling trainers.
 struct TrainOptions {
   int32_t dim = 32;
-  /// K in Eq. (7).
+  /// K in Eq. (7), at most kMaxNegatives.
   int negatives = 1;
   /// η, the learning rate handed to TrainEdgeType by the caller's schedule.
   float initial_lr = 0.025f;

@@ -21,6 +21,7 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
   if (options.dim <= 0 || options.window <= 0 || options.epochs <= 0) {
     return Status::InvalidArgument("dim/window/epochs must be positive");
   }
+  ACTOR_RETURN_NOT_OK(ValidateNegatives(options.negatives));
   if (walks.empty()) {
     return Status::InvalidArgument("no walks to train on");
   }
@@ -113,7 +114,6 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
                   typed[static_cast<int>(graph.vertex_type(ctx))];
               if (t.table != nullptr) noise = &t;
             }
-            Zero(grad.data(), dim);
             NegativeSamplingUpdate(
                 result.center.row(center), ctx, options.negatives, lr,
                 &result.context, sigmoid, rng,
@@ -121,7 +121,6 @@ Result<LineEmbedding> TrainSkipGramOnWalks(
                   return noise->candidates[noise->table->Sample(r)];
                 },
                 grad.data());
-            Add(grad.data(), result.center.row(center), dim);
           }
         }
       }

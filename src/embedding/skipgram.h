@@ -18,6 +18,7 @@ struct SkipGramOptions {
   int32_t dim = 32;
   /// Window size each side of the center (paper §6.2.3 uses 3).
   int window = 3;
+  /// K in Eq. (7), at most kMaxNegatives.
   int negatives = 5;
   float initial_lr = 0.025f;
   int epochs = 2;

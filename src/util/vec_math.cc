@@ -13,41 +13,12 @@ namespace actor {
 
 namespace {
 
-// Eqs. (8)-(10) coefficient of one row: (1 - score) * lr for the positive
-// row, -score * lr for a negative, the same float operations as the per-row
-// reference the parity tests compose. Only called from code built for the
-// baseline ISA: inlined into an FMA-target function, GCC's default
-// -ffp-contract=fast would fuse the SigmoidTable lerp into an FMA and
-// change the model bits.
-inline float StepCoefficient(const SigmoidTable& sigmoid, float dot,
-                             bool positive, float lr) {
-  const float score = sigmoid(dot);
-  const float g = positive ? (1.0f - score) * lr : -score * lr;
-  ACTOR_DCHECK_FINITE(g);
-  return g;
-}
-
-// The strictly in-order negative-sampling step: each row's dot product
-// sees every earlier row's update. This is the whole scalar and relaxed
-// kernel, and the AVX2 kernel's path when rows repeat or alias the center.
-template <float (*DotFn)(const float*, const float*, std::size_t),
-          void (*StepFn)(float, const float*, float*, float*, std::size_t)>
-void InOrderSteps(const float* center, float* const* rows, std::size_t n_rows,
-                  bool first_positive, float lr, const SigmoidTable& sigmoid,
-                  float* grad, std::size_t dim) {
-  for (std::size_t k = 0; k < n_rows; ++k) {
-    const float g = StepCoefficient(sigmoid, DotFn(center, rows[k], dim),
-                                    first_positive && k == 0, lr);
-    StepFn(g, center, rows[k], grad, dim);
-  }
-}
-
 // SharedNegativeBlock keeps step b's coefficients at coefs[b * (1 + K)]:
 // the positive's first, then the K negatives' in draw order. The dot
 // passes write the raw dot products there, a sigmoid pass turns them into
-// scores and this pass into coefficients, all in place, with the same
-// float operations as StepCoefficient. A negative that is the step's own
-// positive row gets 0: a row is never its own negative.
+// scores and this pass into coefficients, all in place: (1 - score) * lr
+// for the positive, -score * lr for a negative. A negative that is the
+// step's own positive row gets 0: a row is never its own negative.
 void ScoresToCoefficients(float* const* positives, std::size_t n_steps,
                           float* const* negatives, std::size_t n_negatives,
                           float lr, float* coefs) {
@@ -251,23 +222,6 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
   for (; j < b; ++j) dots[j] = Dot(queries[j], y, n);
 }
 
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float c = ctx[i];
-    grad[i] += g * c;
-    ctx[i] = c + g * center[i];
-  }
-}
-
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim) {
-  InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
-                                   lr, sigmoid, grad, dim);
-}
-
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
@@ -357,23 +311,6 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
   for (; j < b; ++j) dots[j] = Dot(queries[j], y, n);
 }
 
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float c = RelaxedLoad(ctx + i);
-    RelaxedStore(grad + i, RelaxedLoad(grad + i) + g * c);
-    RelaxedStore(ctx + i, c + g * RelaxedLoad(center + i));
-  }
-}
-
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim) {
-  InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
-                                   lr, sigmoid, grad, dim);
-}
-
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
@@ -424,11 +361,17 @@ __attribute__((target("avx2"))) void BlockCoefficientsAvx2(
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 sign = _mm256_set1_ps(-0.0f);
   const __m256 vlr = _mm256_set1_ps(lr);
-  // rem holds q % stride for each lane of the current eight.
+  // rem holds q % stride for each lane of the current eight. A running
+  // lane counter fills it, so a call does no integer division; after the
+  // eight lanes the counter is 8 % stride.
   int first[8] = {};
-  for (int j = 0; j < 8; ++j) first[j] = static_cast<int>(j % stride);
+  int lane = 0;
+  for (int& r : first) {
+    r = lane;
+    if (++lane == static_cast<int>(stride)) lane = 0;
+  }
   __m256i rem = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(first));
-  const __m256i advance = _mm256_set1_epi32(static_cast<int>(8 % stride));
+  const __m256i advance = _mm256_set1_epi32(lane);
   const __m256i wrap = _mm256_set1_epi32(static_cast<int>(stride));
   const __m256i last = _mm256_set1_epi32(static_cast<int>(stride - 1));
   std::size_t q = 0;
@@ -453,9 +396,12 @@ __attribute__((target("avx2"))) void BlockCoefficientsAvx2(
     rem = _mm256_sub_epi32(
         rem, _mm256_and_si256(_mm256_cmpgt_epi32(rem, last), wrap));
   }
-  for (; q < total; ++q) {
+  // Lane 0 of rem is q % stride for the first tail coefficient.
+  for (std::size_t r = static_cast<std::size_t>(_mm256_cvtsi256_si32(rem));
+       q < total; ++q) {
     const float s = sigmoid(coefs[q]);
-    coefs[q] = q % stride == 0 ? (1.0f - s) * lr : -s * lr;
+    coefs[q] = r == 0 ? (1.0f - s) * lr : -s * lr;
+    if (++r == stride) r = 0;
   }
   // A row is never its own negative.
   for (std::size_t b = 0; b < n_steps; ++b) {
@@ -607,133 +553,6 @@ ACTOR_AVX2_TARGET void DotAndNorm2Batch(const float* const* queries,
   if (j < b) dots[j] = Dot(queries[j], y, n);
 }
 
-ACTOR_AVX2_TARGET void FusedGradStep(float g, const float* center, float* ctx,
-                                     float* grad, std::size_t n) {
-  const __m256 vg = _mm256_set1_ps(g);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 c = _mm256_loadu_ps(ctx + i);
-    _mm256_storeu_ps(grad + i,
-                     _mm256_fmadd_ps(vg, c, _mm256_loadu_ps(grad + i)));
-    _mm256_storeu_ps(
-        ctx + i, _mm256_fmadd_ps(vg, _mm256_loadu_ps(center + i), c));
-  }
-  for (; i < n; ++i) {
-    const float c = ctx[i];
-    grad[i] = std::fma(g, c, grad[i]);
-    ctx[i] = std::fma(g, center[i], c);
-  }
-}
-
-// dots[k] = Dot(center, rows[k], n) for k < b, rows taken in pairs that
-// share each center load.
-ACTOR_AVX2_TARGET static void DotRows(const float* center,
-                                      float* const* rows, std::size_t b,
-                                      std::size_t n, float* dots) {
-  std::size_t k = 0;
-  for (; k + 2 <= b; k += 2) DotPair(center, rows[k], rows[k + 1], n, dots + k);
-  if (k < b) dots[k] = Dot(center, rows[k], n);
-}
-
-// FusedGradStep(coef[k], center, rows[k], grad, n) for k = 0..b-1, with the
-// loops interchanged: each 32-wide block (then each 8-wide slice) of center
-// and grad stays in registers across all rows, and grad is stored once per
-// block. Every element sees the same FMA sequence in the same row order, so
-// the result is bit-identical to the row-by-row calls when the rows are
-// pairwise distinct and none of them is center.
-ACTOR_AVX2_TARGET static void UpdateRows(const float* center,
-                                         float* const* rows, std::size_t b,
-                                         const float* coef, float* grad,
-                                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256 c0 = _mm256_loadu_ps(center + i);
-    const __m256 c1 = _mm256_loadu_ps(center + i + 8);
-    const __m256 c2 = _mm256_loadu_ps(center + i + 16);
-    const __m256 c3 = _mm256_loadu_ps(center + i + 24);
-    __m256 a0 = _mm256_loadu_ps(grad + i);
-    __m256 a1 = _mm256_loadu_ps(grad + i + 8);
-    __m256 a2 = _mm256_loadu_ps(grad + i + 16);
-    __m256 a3 = _mm256_loadu_ps(grad + i + 24);
-    for (std::size_t k = 0; k < b; ++k) {
-      const __m256 vg = _mm256_set1_ps(coef[k]);
-      float* const r = rows[k] + i;
-      const __m256 r0 = _mm256_loadu_ps(r);
-      const __m256 r1 = _mm256_loadu_ps(r + 8);
-      const __m256 r2 = _mm256_loadu_ps(r + 16);
-      const __m256 r3 = _mm256_loadu_ps(r + 24);
-      a0 = _mm256_fmadd_ps(vg, r0, a0);
-      a1 = _mm256_fmadd_ps(vg, r1, a1);
-      a2 = _mm256_fmadd_ps(vg, r2, a2);
-      a3 = _mm256_fmadd_ps(vg, r3, a3);
-      _mm256_storeu_ps(r, _mm256_fmadd_ps(vg, c0, r0));
-      _mm256_storeu_ps(r + 8, _mm256_fmadd_ps(vg, c1, r1));
-      _mm256_storeu_ps(r + 16, _mm256_fmadd_ps(vg, c2, r2));
-      _mm256_storeu_ps(r + 24, _mm256_fmadd_ps(vg, c3, r3));
-    }
-    _mm256_storeu_ps(grad + i, a0);
-    _mm256_storeu_ps(grad + i + 8, a1);
-    _mm256_storeu_ps(grad + i + 16, a2);
-    _mm256_storeu_ps(grad + i + 24, a3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m256 c = _mm256_loadu_ps(center + i);
-    __m256 acc = _mm256_loadu_ps(grad + i);
-    for (std::size_t k = 0; k < b; ++k) {
-      const __m256 vg = _mm256_set1_ps(coef[k]);
-      const __m256 r = _mm256_loadu_ps(rows[k] + i);
-      acc = _mm256_fmadd_ps(vg, r, acc);
-      _mm256_storeu_ps(rows[k] + i, _mm256_fmadd_ps(vg, c, r));
-    }
-    _mm256_storeu_ps(grad + i, acc);
-  }
-  for (; i < n; ++i) {
-    const float c = center[i];
-    float acc = grad[i];
-    for (std::size_t k = 0; k < b; ++k) {
-      const float r = rows[k][i];
-      acc = std::fma(coef[k], r, acc);
-      rows[k][i] = std::fma(coef[k], c, r);
-    }
-    grad[i] = acc;
-  }
-}
-
-// True when no two of center, rows[0..b) are the same row.
-static bool RowsDistinct(const float* center, float* const* rows,
-                         std::size_t b) {
-  for (std::size_t k = 0; k < b; ++k) {
-    if (rows[k] == center) return false;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (rows[j] == rows[k]) return false;
-    }
-  }
-  return true;
-}
-
-// Built for the baseline ISA on purpose (no ACTOR_AVX2_TARGET): the
-// coefficients go through StepCoefficient between the two FMA-target
-// passes. When the rows are pairwise distinct no update can feed a later
-// dot product, so every dot is computed before the first update. A
-// repeated row (or the center among the rows) takes the strictly in-order
-// path.
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim) {
-  if (!RowsDistinct(center, ctx_rows, n_rows)) {
-    InOrderSteps<Dot, FusedGradStep>(center, ctx_rows, n_rows, first_positive,
-                                     lr, sigmoid, grad, dim);
-    return;
-  }
-  float coef[kMaxStepRows] = {};
-  DotRows(center, ctx_rows, n_rows, dim, coef);
-  for (std::size_t k = 0; k < n_rows; ++k) {
-    coef[k] = StepCoefficient(sigmoid, coef[k], first_positive && k == 0, lr);
-  }
-  UpdateRows(center, ctx_rows, n_rows, coef, grad, dim);
-}
-
 // The raw dots of a SharedNegativeBlock call, each bit-identical to Dot():
 // step b's rows (its positive, then the negatives) go through DotPair in
 // pairs sharing each load of C_b.
@@ -874,8 +693,8 @@ ACTOR_AVX2_TARGET static void BlockUpdates(
 }
 
 // Only the dot and update passes may fuse multiplies and adds; the
-// coefficient pass is built without FMA, so it rounds as StepCoefficient
-// does.
+// coefficient pass is built without FMA, so it rounds as the scalar
+// SigmoidTable and coefficient arithmetic do.
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
@@ -909,9 +728,6 @@ struct KernelTable {
   float (*norm2)(const float*, std::size_t);
   void (*dot_norm2_batch)(const float* const*, std::size_t, const float*,
                           std::size_t, float*, float*);
-  void (*fused)(float, const float*, float*, float*, std::size_t);
-  void (*ns_step)(const float*, float* const*, std::size_t, bool, float,
-                  const SigmoidTable&, float*, std::size_t);
   void (*ns_block)(float* const*, float* const*, std::size_t, float* const*,
                    std::size_t, float, const SigmoidTable&, float*, float*,
                    std::size_t);
@@ -921,8 +737,7 @@ struct KernelTable {
 #define ACTOR_KERNEL_TABLE(ns)                                           \
   KernelTable {                                                          \
     &ns::Dot, &ns::Axpy, &ns::Scale, &ns::Add, &ns::Norm2,               \
-        &ns::DotAndNorm2Batch, &ns::FusedGradStep,                       \
-        &ns::NegativeSamplingStep, &ns::SharedNegativeBlock              \
+        &ns::DotAndNorm2Batch, &ns::SharedNegativeBlock                  \
   }
 constexpr KernelTable kScalarKernels = ACTOR_KERNEL_TABLE(scalar);
 constexpr KernelTable kRelaxedKernels = ACTOR_KERNEL_TABLE(relaxed);
@@ -1027,20 +842,6 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2) {
   g_kernels.dot_norm2_batch(queries, b, y, n, dots, y_norm2);
-}
-
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n) {
-  g_kernels.fused(g, center, ctx, grad, n);
-}
-
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim) {
-  ACTOR_DCHECK(n_rows <= kMaxStepRows);
-  g_kernels.ns_step(center, ctx_rows, n_rows, first_positive, lr, sigmoid,
-                    grad, dim);
 }
 
 void SharedNegativeBlock(float* const* centers, float* const* positives,

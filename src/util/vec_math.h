@@ -84,40 +84,7 @@ void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);
 
-/// Fused negative-sampling gradient step (Eqs. (8)-(10) coefficients):
-/// in one pass over the row,
-///   grad[i] += g * ctx[i]      (center-side gradient, pre-update ctx)
-///   ctx[i]  += g * center[i]   (context-side update)
-/// Equivalent to Axpy(g, ctx, grad, n) followed by Axpy(g, center, ctx, n),
-/// but loads/stores each ctx element once, which halves the memory traffic
-/// of the SGD inner loop.
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n);
-
 class SigmoidTable;
-
-/// Most context rows one NegativeSamplingStep call takes. Callers with more
-/// rows per step split them into calls of at most this many, in order
-/// (NegativeSamplingUpdate in embedding/sgd.h).
-inline constexpr std::size_t kMaxStepRows = 16;
-
-/// One negative-sampling SGD step (Eq. (7), updates of Eqs. (8)-(10)) of a
-/// center vector against `n_rows` (at most kMaxStepRows) context rows. For
-/// each row, in order:
-///   score = sigmoid(Dot(center, row))
-///   g     = (label - score) * lr     (label 1 for the positive row, else 0)
-///   grad += g * row                  (pre-update row)
-///   row  += g * center
-/// `ctx_rows[0]` is the positive row when `first_positive`; every other
-/// row is a negative, in draw order. Each backend is bit-identical to its
-/// own Dot + SigmoidTable + FusedGradStep sequence, also when a row repeats
-/// or `center` is itself one of the rows (first-order LINE shares one
-/// matrix). Rows, `center` and `grad` (length dim) must each either
-/// coincide or not overlap at all, and `grad` must be none of them.
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim);
 
 /// Shared-negative block step (Eq. (7), updates of Eqs. (8)-(10)):
 /// `n_steps` steps, step b training center row C_b = centers[b] against its
@@ -134,10 +101,16 @@ void NegativeSamplingStep(const float* center, float* const* ctx_rows,
 /// so a repeated negative, a positive that is also a negative, and a center
 /// or positive appearing twice all receive every update, deterministically.
 /// Each backend is bit-identical to that order composed from its own Dot,
-/// SigmoidTable, Zero, Axpy and Add. `grads` (n_steps * dim floats) and
-/// `coefs` (n_steps * (1 + n_negatives) floats) are caller-owned scratch.
-/// Centers must not be context rows (positives or negatives); rows must
-/// each either coincide or not overlap at all.
+/// SigmoidTable, Zero, Axpy and Add. On return `grads` (n_steps * dim
+/// floats) holds grad_b at grads + b * dim, the update already applied to
+/// C_b, which is how a caller whose center is a scratch composite passes
+/// the gradient on to the composite's members. `coefs` (n_steps *
+/// (1 + n_negatives) floats) is caller-owned scratch. With n_steps == 1 the
+/// call is one plain negative-sampling step; on pairwise-distinct rows it
+/// is bit-identical to the per-row Dot + SigmoidTable + Axpy composition
+/// followed by Add(grad, center). Centers must not be context rows
+/// (positives or negatives); rows must each either coincide or not overlap
+/// at all.
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
@@ -147,7 +120,7 @@ void SharedNegativeBlock(float* const* centers, float* const* positives,
 /// Portable reference kernels; always available regardless of the active
 /// backend. The dispatched functions above are bit-compatible with these
 /// up to floating-point reassociation (Dot/Norm2) and FMA rounding
-/// (Axpy/FusedGradStep), covered by the parity tests.
+/// (Axpy/SharedNegativeBlock), covered by the parity tests.
 namespace scalar {
 float Dot(const float* x, const float* y, std::size_t n);
 void Axpy(float a, const float* x, float* y, std::size_t n);
@@ -157,12 +130,6 @@ float Norm2(const float* x, std::size_t n);
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n);
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim);
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,
@@ -204,12 +171,6 @@ float Norm2(const float* x, std::size_t n);
 void DotAndNorm2Batch(const float* const* queries, std::size_t b,
                       const float* y, std::size_t n, float* dots,
                       float* y_norm2);
-void FusedGradStep(float g, const float* center, float* ctx, float* grad,
-                   std::size_t n);
-void NegativeSamplingStep(const float* center, float* const* ctx_rows,
-                          std::size_t n_rows, bool first_positive, float lr,
-                          const SigmoidTable& sigmoid, float* grad,
-                          std::size_t dim);
 void SharedNegativeBlock(float* const* centers, float* const* positives,
                          std::size_t n_steps, float* const* negatives,
                          std::size_t n_negatives, float lr,

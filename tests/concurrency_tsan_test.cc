@@ -90,7 +90,6 @@ TEST(ConcurrencyTsanTest, TrainLineMultiThread) {
   Heterograph g = DenseGraph(4, 24);
   LineOptions options;
   options.dim = 16;
-  options.order = 2;
   options.samples_per_edge = 40;
   options.num_threads = kThreads;
   auto embedding = TrainLine(g, options);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "embedding/sgd.h"
 #include "util/vec_math.h"
 
 namespace actor {
@@ -49,7 +50,7 @@ TEST(LineTest, RejectsBadOptions) {
   o.dim = 0;
   EXPECT_TRUE(TrainLine(g, o).status().IsInvalidArgument());
   o = FastOptions();
-  o.order = 3;
+  o.negatives = kMaxNegatives + 1;
   EXPECT_TRUE(TrainLine(g, o).status().IsInvalidArgument());
 }
 
@@ -90,23 +91,6 @@ TEST(LineTest, SecondOrderSeparatesCliques) {
     }
   }
   EXPECT_GT(intra / n_intra, inter / n_inter + 0.2);
-}
-
-TEST(LineTest, FirstOrderSeparatesCliques) {
-  Heterograph g = TwoCliqueGraph();
-  LineOptions o = FastOptions();
-  o.order = 1;
-  auto result = TrainLine(g, o);
-  ASSERT_TRUE(result.ok());
-  const double intra =
-      Cosine(result->center.row(1), result->center.row(2), 16);
-  const double inter =
-      Cosine(result->center.row(1), result->center.row(5), 16);
-  EXPECT_GT(intra, inter);
-  // First order: context is a copy of center.
-  for (int d = 0; d < 16; ++d) {
-    EXPECT_FLOAT_EQ(result->context.row(3)[d], result->center.row(3)[d]);
-  }
 }
 
 TEST(LineTest, EmbeddingsFinite) {

@@ -52,7 +52,6 @@ TEST(NegativeSamplingUpdateTest, PositivePairMovesCloser) {
   NegativeSamplingUpdate(
       center, /*positive=*/0, /*negatives=*/0, /*lr=*/0.5f, &context, sigmoid,
       rng, [](Rng&) { return kInvalidVertex; }, grad);
-  Add(grad, center, 4);
   const float after = Dot(center, context.row(0), 4);
   EXPECT_GT(after, before);
 }
@@ -70,7 +69,6 @@ TEST(NegativeSamplingUpdateTest, NegativeMovesAway) {
   NegativeSamplingUpdate(
       center, 0, /*negatives=*/1, 0.5f, &context, sigmoid, rng,
       [](Rng&) -> VertexId { return 1; }, grad);
-  Add(grad, center, 4);
   const float neg_after = Dot(center, context.row(1), 4);
   EXPECT_LT(neg_after, neg_before);
 }
@@ -92,78 +90,96 @@ TEST(NegativeSamplingUpdateTest, SkipsInvalidAndSelfNegatives) {
   EXPECT_GT(positive_gain, 0.0f);
 }
 
-/// Reference for NegativeSamplingUpdate: draw one negative, update its row
-/// with Dot + SigmoidTable + FusedGradStep, draw the next.
+/// Reference for NegativeSamplingUpdate on pairwise-distinct rows: every
+/// dot against the rows as they were, then per row the Dot + SigmoidTable +
+/// Axpy composition, then the gradient added to the center.
 template <typename NegativeFn>
-void ReferenceUpdate(const float* center, VertexId positive, int negatives,
-                     float lr, EmbeddingMatrix* context,
-                     const SigmoidTable& sigmoid, Rng& rng,
-                     NegativeFn&& sample_negative, float* grad) {
+void ReferenceUpdate(float* center, VertexId positive, int negatives, float lr,
+                     EmbeddingMatrix* context, const SigmoidTable& sigmoid,
+                     Rng& rng, NegativeFn&& sample_negative, float* grad) {
   const std::size_t dim = static_cast<std::size_t>(context->dim());
-  float* pos = context->row(positive);
-  const float pos_score = sigmoid(Dot(center, pos, dim));
-  FusedGradStep((1.0f - pos_score) * lr, center, pos, grad, dim);
+  std::vector<float*> rows = {context->row(positive)};
   for (int k = 0; k < negatives; ++k) {
     const VertexId neg = sample_negative(rng);
     if (neg == kInvalidVertex || neg == positive) continue;
-    float* ctx = context->row(neg);
-    const float score = sigmoid(Dot(center, ctx, dim));
-    FusedGradStep(-score * lr, center, ctx, grad, dim);
+    rows.push_back(context->row(neg));
   }
+  std::vector<float> g(rows.size());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const float score = sigmoid(Dot(center, rows[j], dim));
+    g[j] = j == 0 ? (1.0f - score) * lr : -score * lr;
+  }
+  Zero(grad, dim);
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    Axpy(g[j], rows[j], grad, dim);
+    Axpy(g[j], center, rows[j], dim);
+  }
+  Add(grad, center, dim);
 }
 
-TEST(NegativeSamplingUpdateTest, ChunkedStepMatchesPerRowComposition) {
-  // negatives = 20 overflows one kernel call, so the chunked path runs. The
-  // small pool forces repeated negatives; `center_row` >= 0 takes the
-  // center from the context matrix itself, as first-order LINE does.
+TEST(NegativeSamplingUpdateTest, BitIdenticalToPerRowCompositionOnDistinctRows) {
+  // The draws walk up the rows, so a step's rows are pairwise distinct;
+  // some draws are invalid or hit the positive and are skipped. K = 0 and
+  // the always-invalid sampler leave no negative: the positive still
+  // trains, exactly as a positive-only step.
+  constexpr int32_t kRows = 500;
   struct Case {
-    int32_t rows;
-    int center_row;
+    int negatives;
+    bool all_invalid;
   };
   const VecBackend original = ActiveVecBackend();
-  for (VecBackend backend : {VecBackend::kScalar, VecBackend::kAvx2}) {
-    SetVecBackend(backend);
-    for (const Case c : {Case{500, -1}, Case{6, -1}, Case{40, 3}}) {
-      for (int32_t dim : {32, 7}) {
+  for (VecBackend backend :
+       {VecBackend::kScalar, VecBackend::kRelaxed, VecBackend::kAvx2}) {
+    if (SetVecBackend(backend) != backend) continue;
+    for (const Case c : {Case{0, false}, Case{1, false}, Case{5, false},
+                         Case{kMaxNegatives, false}, Case{5, true}}) {
+      for (int32_t dim : {32, 45, 7}) {
         Rng init(17);
-        EmbeddingMatrix fused(c.rows, dim);
-        fused.InitUniform(init);
-        EmbeddingMatrix ref = fused.Clone();
-        std::vector<float> own_center(static_cast<std::size_t>(dim));
-        for (float& x : own_center) x = init.UniformFloat() - 0.5f;
-        std::vector<float> grad_fused(own_center.size(), 0.0f);
-        std::vector<float> grad_ref(own_center.size(), 0.0f);
+        EmbeddingMatrix kernel(kRows, dim);
+        kernel.InitUniform(init);
+        EmbeddingMatrix ref = kernel.Clone();
+        std::vector<float> center_kernel(static_cast<std::size_t>(dim));
+        for (float& x : center_kernel) x = init.UniformFloat() - 0.5f;
+        std::vector<float> center_ref = center_kernel;
+        std::vector<float> grad_kernel(center_kernel.size());
+        std::vector<float> grad_ref(center_kernel.size());
         const SigmoidTable sigmoid;
-        auto sample = [&c](Rng& r) -> VertexId {
-          const uint64_t u = r.Uniform(static_cast<uint64_t>(c.rows) + 1);
-          return u == 0 ? kInvalidVertex : static_cast<VertexId>(u - 1);
+        auto sampler = [&c](VertexId* next) {
+          return [&c, next](Rng& r) -> VertexId {
+            *next = (*next + 1 + static_cast<VertexId>(r.Uniform(3))) % kRows;
+            return c.all_invalid || r.Uniform(8) == 0 ? kInvalidVertex : *next;
+          };
         };
-        Rng rng_fused(23);
+        Rng rng_kernel(23);
         Rng rng_ref(23);
         for (int step = 0; step < 50; ++step) {
-          const VertexId positive = step % c.rows;
-          const float* cf = c.center_row < 0 ? own_center.data()
-                                             : fused.row(c.center_row);
-          const float* cr =
-              c.center_row < 0 ? own_center.data() : ref.row(c.center_row);
-          NegativeSamplingUpdate(cf, positive, 20, 0.2f, &fused, sigmoid,
-                                 rng_fused, sample, grad_fused.data());
-          ReferenceUpdate(cr, positive, 20, 0.2f, &ref, sigmoid, rng_ref,
-                          sample, grad_ref.data());
+          const VertexId positive = (step * 37) % kRows;
+          VertexId next_kernel = positive;
+          VertexId next_ref = positive;
+          NegativeSamplingUpdate(center_kernel.data(), positive, c.negatives,
+                                 0.2f, &kernel, sigmoid, rng_kernel,
+                                 sampler(&next_kernel), grad_kernel.data());
+          ReferenceUpdate(center_ref.data(), positive, c.negatives, 0.2f, &ref,
+                          sigmoid, rng_ref, sampler(&next_ref),
+                          grad_ref.data());
         }
         const std::string where = std::string(VecBackendName(backend)) +
-                                  " rows=" + std::to_string(c.rows) +
+                                  " K=" + std::to_string(c.negatives) +
+                                  " invalid=" + std::to_string(c.all_invalid) +
                                   " dim=" + std::to_string(dim);
-        EXPECT_EQ(rng_fused.Next(), rng_ref.Next()) << where;
-        for (int32_t r = 0; r < c.rows; ++r) {
+        EXPECT_EQ(rng_kernel.Next(), rng_ref.Next()) << where;
+        for (int32_t r = 0; r < kRows; ++r) {
           for (int32_t i = 0; i < dim; ++i) {
-            ASSERT_EQ(std::bit_cast<uint32_t>(fused.row(r)[i]),
+            ASSERT_EQ(std::bit_cast<uint32_t>(kernel.row(r)[i]),
                       std::bit_cast<uint32_t>(ref.row(r)[i]))
                 << where << " row=" << r << " i=" << i;
           }
         }
         for (std::size_t i = 0; i < grad_ref.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<uint32_t>(grad_fused[i]),
+          ASSERT_EQ(std::bit_cast<uint32_t>(center_kernel[i]),
+                    std::bit_cast<uint32_t>(center_ref[i]))
+              << where << " center i=" << i;
+          ASSERT_EQ(std::bit_cast<uint32_t>(grad_kernel[i]),
                     std::bit_cast<uint32_t>(grad_ref[i]))
               << where << " grad i=" << i;
         }
@@ -171,6 +187,22 @@ TEST(NegativeSamplingUpdateTest, ChunkedStepMatchesPerRowComposition) {
     }
   }
   SetVecBackend(original);
+}
+
+TEST(NegativeSamplingUpdateTest, TrainersRejectNegativesBeyondTheStepLimit) {
+  EXPECT_TRUE(ValidateNegatives(0).ok());
+  EXPECT_TRUE(ValidateNegatives(kMaxNegatives).ok());
+  EXPECT_TRUE(ValidateNegatives(kMaxNegatives + 1).IsInvalidArgument());
+  EXPECT_TRUE(ValidateNegatives(-1).IsInvalidArgument());
+  Heterograph g = TwoTopicGraph();
+  auto noise = TypedNegativeSampler::Create(g);
+  ASSERT_TRUE(noise.ok());
+  EmbeddingMatrix center(8, 4), context(8, 4);
+  TrainOptions options;
+  options.dim = 4;
+  options.negatives = kMaxNegatives + 1;
+  EdgeSamplingTrainer trainer(&g, &center, &context, &*noise, options);
+  EXPECT_TRUE(trainer.Prepare().IsInvalidArgument());
 }
 
 TEST(EdgeSamplingTrainerTest, PrepareValidatesShapes) {

@@ -279,34 +279,22 @@ TEST(RuleServeReadOnly, FiresOnRowInMutatedKernelArg) {
             "  Axpy(0.1f, g.data(), m.row(u), dim);\n"
             "  Scale(0.5f, m.row(u), dim);\n"
             "  Zero(m.row(u), dim);\n"
-            "  FusedGradStep(g, c.row(a), x.row(b), grad.data(), dim);\n"
             "  RelaxedStore(&m.row(u)[k], v);\n"
             "}\n"}});
-  EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 5);
+  EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 4);
 }
 
-TEST(RuleServeReadOnly, FiresOnRowInNegativeSamplingStepOutputs) {
-  // Both mutated arguments: the context rows and the gradient.
+TEST(RuleServeReadOnly, FiresOnRowInNegativeSamplingUpdateOutputs) {
+  // Both mutated row arguments: the center and the gradient output.
   const auto findings =
       Lint({{"src/eval/x.cc",
             "void f() {\n"
-            "  float* rows[] = {ctx};\n"
-            "  NegativeSamplingStep(q, &m.row(u), 1, true, lr, sig, g, d);\n"
-            "  NegativeSamplingStep(q, rows, 1, true, lr, sig, m.row(u), d);\n"
+            "  NegativeSamplingUpdate(m.row(u), v, k, lr, c, sig, r, n, g);\n"
+            "  NegativeSamplingUpdate(q, v, k, lr, c, sig, r, n, m.row(u));\n"
             "}\n"}});
   ASSERT_EQ(CountRule(findings, kRuleServeReadOnly), 2);
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_EQ(findings[1].line, 4);
-}
-
-TEST(RuleServeReadOnly, AllowsNegativeSamplingStepReadingACenterRow) {
-  // The center is a const source: passing row() there mutates nothing.
-  const auto findings =
-      Lint({{"src/serve/x.cc",
-            "void f() {\n"
-            "  NegativeSamplingStep(m.row(u), rows, n, true, lr, sig, g, d);\n"
-            "}\n"}});
-  EXPECT_EQ(CountRule(findings, kRuleServeReadOnly), 0);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 3);
 }
 
 TEST(RuleServeReadOnly, FiresOnRowInSharedNegativeBlockOutputs) {

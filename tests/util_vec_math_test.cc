@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -231,133 +230,15 @@ TEST(VecBackendTest, BackendNames) {
   EXPECT_STREQ(VecBackendName(VecBackend::kAvx2), "avx2");
 }
 
-TEST(ScalarKernelTest, FusedGradStepMatchesTwoAxpys) {
-  // The fused kernel is defined as Axpy(g, ctx, grad) then
-  // Axpy(g, center, ctx); the scalar version must match bit-for-bit...
-  // up to FMA contraction the compiler may apply to either loop, so
-  // compare within 1 ulp.
-  const std::size_t n = 37;
-  Rng rng(99);
-  std::vector<float> center(n), ctx(n), ctx2(n), grad(n), grad2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    center[i] = rng.UniformFloat() - 0.5f;
-    ctx[i] = ctx2[i] = rng.UniformFloat() - 0.5f;
-    grad[i] = grad2[i] = rng.UniformFloat() - 0.5f;
-  }
-  const float g = 0.37f;
-  scalar::FusedGradStep(g, center.data(), ctx.data(), grad.data(), n);
-  scalar::Axpy(g, ctx2.data(), grad2.data(), n);
-  scalar::Axpy(g, center.data(), ctx2.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_LE(UlpDiff(ctx[i], ctx2[i]), 1) << "i=" << i;
-    EXPECT_LE(UlpDiff(grad[i], grad2[i]), 1) << "i=" << i;
-  }
-}
-
-/// NegativeSamplingStep's contract: on every backend it is bit-identical to
-/// that backend's own Dot + SigmoidTable + FusedGradStep sequence, one row
-/// at a time.
-void ReferenceStep(const float* center, float* const* rows, std::size_t n,
-                   bool first_positive, float lr, const SigmoidTable& sigmoid,
-                   float* grad, std::size_t dim) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const float score = sigmoid(Dot(center, rows[k], dim));
-    const float g =
-        first_positive && k == 0 ? (1.0f - score) * lr : -score * lr;
-    FusedGradStep(g, center, rows[k], grad, dim);
-  }
-}
-
-struct StepCase {
-  const char* name;
-  std::vector<int> rows;  // indices into a pool of kPoolRows rows
-  int center = -1;        // pool index of the center, or -1 for its own buffer
-  bool first_positive = true;
-};
-
-/// Runs `c` through the kernel and the reference on identical copies of a
-/// random row pool and checks every row and gradient bit.
-void ExpectStepMatchesReference(VecBackend backend, std::size_t dim,
-                                const StepCase& c) {
-  constexpr std::size_t kPoolRows = 24;
-  Rng rng(1000 + dim);
-  std::vector<float> init((kPoolRows + 1) * dim);  // last row: own center
-  for (auto& x : init) x = 3.0f * (rng.UniformFloat() - 0.5f);
-  std::vector<float> grad_init(dim);
-  for (auto& x : grad_init) x = rng.UniformFloat() - 0.5f;
-  const SigmoidTable sigmoid;
-  SetVecBackend(backend);
-  auto run = [&](bool fused, std::vector<float>* pool,
-                 std::vector<float>* grad) {
-    *pool = init;
-    *grad = grad_init;
-    std::vector<float*> rows;
-    for (int r : c.rows) rows.push_back(pool->data() + r * dim);
-    const std::size_t center_row =
-        c.center < 0 ? kPoolRows : static_cast<std::size_t>(c.center);
-    const float* center = pool->data() + center_row * dim;
-    if (fused) {
-      NegativeSamplingStep(center, rows.data(), rows.size(), c.first_positive,
-                           0.3f, sigmoid, grad->data(), dim);
-    } else {
-      ReferenceStep(center, rows.data(), rows.size(), c.first_positive, 0.3f,
-                    sigmoid, grad->data(), dim);
-    }
-  };
-  std::vector<float> pool_fused, grad_fused, pool_ref, grad_ref;
-  run(true, &pool_fused, &grad_fused);
-  run(false, &pool_ref, &grad_ref);
-  for (std::size_t i = 0; i < pool_ref.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<uint32_t>(pool_fused[i]),
-              std::bit_cast<uint32_t>(pool_ref[i]))
-        << VecBackendName(backend) << " " << c.name << " dim=" << dim
-        << " row=" << i / dim << " i=" << i % dim;
-  }
-  for (std::size_t i = 0; i < dim; ++i) {
-    ASSERT_EQ(std::bit_cast<uint32_t>(grad_fused[i]),
-              std::bit_cast<uint32_t>(grad_ref[i]))
-        << VecBackendName(backend) << " " << c.name << " dim=" << dim
-        << " grad i=" << i;
-  }
-}
-
-TEST(NegativeSamplingStepTest, BitIdenticalToPerRowCompositionOnEveryBackend) {
-  std::vector<int> full(kMaxStepRows);  // the most rows one call takes
-  std::iota(full.begin(), full.end(), 0);
-  std::vector<int> full_repeat = full;
-  full_repeat.back() = full.front();
-  const StepCase cases[] = {
-      {"single row", {3}},
-      {"distinct rows", {0, 5, 9, 2, 7, 11}},
-      {"odd distinct rows", {0, 5, 9, 2, 7}},
-      {"duplicated negative", {0, 5, 9, 5, 7, 11}},
-      {"negative equal to positive", {4, 1, 4}},
-      {"center among rows", {0, 6, 2}, /*center=*/6},
-      {"negatives only", {1, 2, 3}, -1, /*first_positive=*/false},
-      {"kMaxStepRows distinct rows", full},
-      {"kMaxStepRows rows, last repeats the positive", full_repeat},
-  };
-  const VecBackend original = ActiveVecBackend();
-  std::vector<VecBackend> backends = {VecBackend::kScalar,
-                                      VecBackend::kRelaxed};
-  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
-  for (VecBackend backend : backends) {
-    for (std::size_t dim : {32u, 48u, 7u}) {
-      for (const StepCase& c : cases) {
-        ExpectStepMatchesReference(backend, dim, c);
-      }
-    }
-  }
-  SetVecBackend(original);
-}
-
 /// SharedNegativeBlock's contract, composed from the active backend's own
 /// Dot, SigmoidTable, Zero, Axpy and Add: every dot and center gradient
 /// from the start values, then the N_k, P_b and C_b writes in that order.
+/// `grads` receives the center gradients, as the kernel's output does.
 void ReferenceBlock(float* const* centers, float* const* positives,
                     std::size_t n_steps, float* const* negatives,
                     std::size_t n_negatives, float lr,
-                    const SigmoidTable& sigmoid, std::size_t dim) {
+                    const SigmoidTable& sigmoid, float* grads,
+                    std::size_t dim) {
   const std::size_t stride = 1 + n_negatives;
   std::vector<float> g(n_steps * stride);
   for (std::size_t b = 0; b < n_steps; ++b) {
@@ -370,9 +251,8 @@ void ReferenceBlock(float* const* centers, float* const* positives,
               : -sigmoid(Dot(centers[b], negatives[k], dim)) * lr;
     }
   }
-  std::vector<float> grads(n_steps * dim);
   for (std::size_t b = 0; b < n_steps; ++b) {
-    float* grad = grads.data() + b * dim;
+    float* grad = grads + b * dim;
     Zero(grad, dim);
     Axpy(g[b * stride], positives[b], grad, dim);
     for (std::size_t k = 0; k < n_negatives; ++k) {
@@ -388,7 +268,7 @@ void ReferenceBlock(float* const* centers, float* const* positives,
     Axpy(g[b * stride], centers[b], positives[b], dim);
   }
   for (std::size_t b = 0; b < n_steps; ++b) {
-    Add(grads.data() + b * dim, centers[b], dim);
+    Add(grads + b * dim, centers[b], dim);
   }
 }
 
@@ -445,7 +325,8 @@ std::vector<BlockCase> BlockCases(int steps, int negatives) {
 }
 
 /// Runs `c` through the kernel and the reference on identical copies of
-/// random center and context pools and checks every bit of both.
+/// random center and context pools and checks every bit of both pools and
+/// of the center gradients.
 void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
                                  const BlockCase& c) {
   constexpr std::size_t kCenterRows = 16;  // the largest chunk tested
@@ -478,9 +359,10 @@ void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
   const SigmoidTable sigmoid;
   SetVecBackend(backend);
   auto run = [&](bool kernel, std::vector<float>* center_pool,
-                 std::vector<float>* context_pool) {
+                 std::vector<float>* context_pool, std::vector<float>* grads) {
     *center_pool = center_init;
     *context_pool = context_init;
+    grads->assign(c.centers.size() * dim, -1.0f);
     std::vector<float*> centers, positives, negatives;
     for (int r : c.centers) centers.push_back(center_pool->data() + r * dim);
     for (int r : c.positives) {
@@ -490,19 +372,20 @@ void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
       negatives.push_back(context_pool->data() + r * dim);
     }
     if (kernel) {
-      std::vector<float> grads(centers.size() * dim);
       std::vector<float> coefs(centers.size() * (1 + negatives.size()));
       SharedNegativeBlock(centers.data(), positives.data(), centers.size(),
                           negatives.data(), negatives.size(), 0.3f, sigmoid,
-                          grads.data(), coefs.data(), dim);
+                          grads->data(), coefs.data(), dim);
     } else {
       ReferenceBlock(centers.data(), positives.data(), centers.size(),
-                     negatives.data(), negatives.size(), 0.3f, sigmoid, dim);
+                     negatives.data(), negatives.size(), 0.3f, sigmoid,
+                     grads->data(), dim);
     }
   };
-  std::vector<float> center_kernel, context_kernel, center_ref, context_ref;
-  run(true, &center_kernel, &context_kernel);
-  run(false, &center_ref, &context_ref);
+  std::vector<float> center_kernel, context_kernel, grads_kernel;
+  std::vector<float> center_ref, context_ref, grads_ref;
+  run(true, &center_kernel, &context_kernel, &grads_kernel);
+  run(false, &center_ref, &context_ref, &grads_ref);
   const std::string where = std::string(VecBackendName(backend)) + " " +
                             c.name + " dim=" + std::to_string(dim) +
                             " steps=" + std::to_string(c.centers.size()) +
@@ -516,6 +399,11 @@ void ExpectBlockMatchesReference(VecBackend backend, std::size_t dim,
     ASSERT_EQ(std::bit_cast<uint32_t>(context_kernel[i]),
               std::bit_cast<uint32_t>(context_ref[i]))
         << where << " context row=" << i / dim << " i=" << i % dim;
+  }
+  for (std::size_t i = 0; i < grads_ref.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(grads_kernel[i]),
+              std::bit_cast<uint32_t>(grads_ref[i]))
+        << where << " grads step=" << i / dim << " i=" << i % dim;
   }
   // The case must actually train: a no-op kernel would match a no-op
   // reference.
@@ -535,6 +423,78 @@ TEST(SharedNegativeBlockTest, BitIdenticalToContractOnEveryBackend) {
             ExpectBlockMatchesReference(backend, dim, c);
           }
         }
+      }
+    }
+  }
+  SetVecBackend(original);
+}
+
+/// One-step calls, the shape every batch trainer's NegativeSamplingUpdate
+/// makes: distinct rows, a repeated negative, a negative equal to the
+/// positive, and a step left with no valid negative, which passes its
+/// positive as the one negative.
+TEST(SharedNegativeBlockTest, OneStepCasesBitIdenticalOnEveryBackend) {
+  const std::vector<BlockCase> cases = {
+      {"one step, distinct rows", {0}, {0}, {1, 2, 3, 4, 5}, {}},
+      {"one step, repeated negative", {0}, {0}, {1, 2, 1, 3, 2}, {}},
+      {"one step, negative equal to the positive", {0}, {0}, {1, 0, 2}, {}},
+      {"one step, no valid negative", {0}, {0}, {0}, {}},
+  };
+  const VecBackend original = ActiveVecBackend();
+  std::vector<VecBackend> backends = {VecBackend::kScalar,
+                                      VecBackend::kRelaxed};
+  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
+  for (VecBackend backend : backends) {
+    for (std::size_t dim : {32u, 48u, 7u}) {
+      for (const BlockCase& c : cases) {
+        ExpectBlockMatchesReference(backend, dim, c);
+      }
+    }
+  }
+  SetVecBackend(original);
+}
+
+/// A step with no valid negative trains its positive alone: the same bits
+/// as the positive-only Dot + SigmoidTable + Axpy + Add composition.
+TEST(SharedNegativeBlockTest, NoValidNegativeTrainsThePositiveAlone) {
+  const VecBackend original = ActiveVecBackend();
+  std::vector<VecBackend> backends = {VecBackend::kScalar,
+                                      VecBackend::kRelaxed};
+  if (Avx2Available()) backends.push_back(VecBackend::kAvx2);
+  const SigmoidTable sigmoid;
+  for (VecBackend backend : backends) {
+    SetVecBackend(backend);
+    for (std::size_t dim : {32u, 48u, 7u}) {
+      Rng rng(3000 + dim);
+      std::vector<float> center(dim), positive(dim);
+      for (auto& x : center) x = rng.UniformFloat() - 0.5f;
+      for (auto& x : positive) x = rng.UniformFloat() - 0.5f;
+      std::vector<float> center_ref = center, positive_ref = positive;
+      std::vector<float> grad(dim), grad_ref(dim, 0.0f);
+      float coefs[2];
+      float* c = center.data();
+      float* p = positive.data();
+      SharedNegativeBlock(&c, &p, 1, &p, 1, 0.3f, sigmoid, grad.data(), coefs,
+                          dim);
+      const float g =
+          (1.0f - sigmoid(Dot(center_ref.data(), positive_ref.data(), dim))) *
+          0.3f;
+      Axpy(g, positive_ref.data(), grad_ref.data(), dim);
+      Axpy(g, center_ref.data(), positive_ref.data(), dim);
+      Add(grad_ref.data(), center_ref.data(), dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        const std::string where = std::string(VecBackendName(backend)) +
+                                  " dim=" + std::to_string(dim) +
+                                  " i=" + std::to_string(i);
+        ASSERT_EQ(std::bit_cast<uint32_t>(center[i]),
+                  std::bit_cast<uint32_t>(center_ref[i]))
+            << where;
+        ASSERT_EQ(std::bit_cast<uint32_t>(positive[i]),
+                  std::bit_cast<uint32_t>(positive_ref[i]))
+            << where;
+        ASSERT_EQ(std::bit_cast<uint32_t>(grad[i]),
+                  std::bit_cast<uint32_t>(grad_ref[i]))
+            << where;
       }
     }
   }
@@ -775,11 +735,10 @@ TEST(RelaxedKernelParity, ElementwiseMatchesScalarWithin1Ulp) {
   Rng seed_rng(41);
   for (std::size_t n = 1; n <= 257; n += 3) {
     Rng rng(seed_rng.Next());
-    std::vector<float> x(n), base(n), grad(n);
+    std::vector<float> x(n), base(n);
     for (std::size_t i = 0; i < n; ++i) {
       x[i] = rng.UniformFloat() - 0.5f;
       base[i] = rng.UniformFloat() - 0.5f;
-      grad[i] = rng.UniformFloat() - 0.5f;
     }
     auto y_rel = base, y_ref = base;
     relaxed::Axpy(0.25f, x.data(), y_rel.data(), n);
@@ -790,18 +749,10 @@ TEST(RelaxedKernelParity, ElementwiseMatchesScalarWithin1Ulp) {
     auto s_rel = base, s_ref = base;
     relaxed::Scale(0.815f, s_rel.data(), n);
     scalar::Scale(0.815f, s_ref.data(), n);
-    auto ctx_rel = base, ctx_ref = base;
-    auto grad_rel = grad, grad_ref = grad;
-    relaxed::FusedGradStep(-0.125f, x.data(), ctx_rel.data(),
-                           grad_rel.data(), n);
-    scalar::FusedGradStep(-0.125f, x.data(), ctx_ref.data(),
-                          grad_ref.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_LE(UlpDiff(y_rel[i], y_ref[i]), 1) << "axpy n=" << n;
       ASSERT_EQ(add_rel[i], add_ref[i]) << "add n=" << n;
       ASSERT_EQ(s_rel[i], s_ref[i]) << "scale n=" << n;
-      ASSERT_LE(UlpDiff(ctx_rel[i], ctx_ref[i]), 1) << "fused ctx n=" << n;
-      ASSERT_LE(UlpDiff(grad_rel[i], grad_ref[i]), 1) << "fused grad n=" << n;
     }
   }
 }
@@ -865,27 +816,6 @@ TEST(RelaxedKernelParity, ReleaseDispatchStillPrefersSimd) {
   SetVecBackend(VecBackend::kAvx2);  // restore the default for other tests
 }
 #endif
-
-TEST_F(KernelParity, FusedGradStepWithin1Ulp) {
-  for (std::size_t n = 1; n <= 257; ++n) {
-    const auto center = RandomVec(n, 13 * n);
-    auto ctx_simd = RandomVec(n, 13 * n + 1);
-    auto ctx_ref = ctx_simd;
-    auto grad_simd = RandomVec(n, 13 * n + 2);
-    auto grad_ref = grad_simd;
-    SetVecBackend(VecBackend::kAvx2);
-    FusedGradStep(-0.125f, center.data(), ctx_simd.data(), grad_simd.data(),
-                  n);
-    scalar::FusedGradStep(-0.125f, center.data(), ctx_ref.data(),
-                          grad_ref.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_LE(UlpDiff(ctx_simd[i], ctx_ref[i]), 1)
-          << "n=" << n << " i=" << i;
-      ASSERT_LE(UlpDiff(grad_simd[i], grad_ref[i]), 1)
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace actor

@@ -368,8 +368,8 @@ void CheckHogwild(const LexedFile& f, const std::vector<Region>& regions,
             {f.path, f.LineAt(row_pos), kRuleHogwild,
              "direct element access to a shared embedding row inside a "
              "HOGWILD region — go through the vec_math kernel API "
-             "(SharedNegativeBlock/NegativeSamplingStep/FusedGradStep/"
-             "Axpy/Add/...) or RelaxedLoad/RelaxedStore"});
+             "(SharedNegativeBlock/Axpy/Add/...) or "
+             "RelaxedLoad/RelaxedStore"});
       }
     }
   }
@@ -454,9 +454,9 @@ void CheckServeReadOnly(const LexedFile& f, std::vector<Finding>* out) {
       {"Copy", {1, -1, -1, -1, -1}},
       {"Zero", {0, -1, -1, -1, -1}},
       {"NormalizeInPlace", {0, -1, -1, -1, -1}},
-      {"FusedGradStep", {2, 3, -1, -1, -1}},
       {"RelaxedStore", {0, -1, -1, -1, -1}},
-      {"NegativeSamplingStep", {1, 6, -1, -1, -1}},
+      // The center and the gradient output (context rows go by matrix).
+      {"NegativeSamplingUpdate", {0, 8, -1, -1, -1}},
       // Centers, positives, negatives, gradient and coefficient scratch.
       {"SharedNegativeBlock", {0, 1, 3, 7, 8}},
   };
