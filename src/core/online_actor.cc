@@ -148,8 +148,8 @@ Status OnlineActor::Ingest(const std::vector<TokenizedRecord>& batch) {
   for (const TokenizedRecord& rec : batch) {
     const VertexId t = ResolveTemporal(rec.timestamp);
     const VertexId l = ResolveSpatial(rec.location);
-    std::vector<VertexId> words;
-    words.reserve(rec.word_ids.size());
+    std::vector<VertexId>& words = record_words_;
+    words.clear();
     for (int32_t w : rec.word_ids) words.push_back(ResolveWord(w));
 
     AccumulateEdge(t, l);

@@ -230,6 +230,10 @@ class OnlineActor {
   OnlineEdgeStore edges_[kNumEdgeTypes];
   SamplerCache samplers_[kNumEdgeTypes];
 
+  /// Ingest's word units of the record being accumulated; a member so the
+  /// per-record loop reuses one buffer.
+  std::vector<VertexId> record_words_;
+
   /// Rows mutated since the last publish. Marked by AddUnit and the
   /// trainer epochs, cleared by PublishSnapshot.
   DirtyRowSet dirty_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "util/string_util.h"
@@ -37,27 +38,63 @@ Result<TokenizedCorpus> TokenizedCorpus::Build(
   }
   Tokenizer tokenizer(options.tokenizer);
 
-  // Pass 1: tokenize (with optional phrase merging), then count.
-  std::vector<std::vector<std::string>> tokenized(corpus.size());
+  // Pass 1: one scan of each text. Every token is interned with a single
+  // lookup into `seen`, a first-seen dictionary that also counts it. The
+  // stop list is interned first, so ids below `first_word` are stop words
+  // and that same lookup applies the stop rule. A record's kept ids are
+  // ids[ends[i-1], ends[i]).
+  Vocabulary seen;
+  for (const std::string& stop : tokenizer.stopwords()) {
+    seen.AddOccurrence(stop, 0);
+  }
+  int32_t first_word = seen.size();
+  std::vector<int32_t> ids;
+  std::vector<std::size_t> ends(corpus.size());
+  std::string buf;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    tokenized[i] = tokenizer.Tokenize(corpus.record(i).text);
+    const std::string& text = corpus.record(i).text;
+    std::size_t pos = 0;
+    while (tokenizer.NextToken(text, &pos, &buf)) {
+      const int32_t id = seen.AddOccurrence(buf);
+      if (id >= first_word) ids.push_back(id);
+    }
+    ends[i] = ids.size();
   }
   if (options.detect_phrases) {
+    // Phrases merge strings, so only this path spells the tokens out; the
+    // merged tokens are then counted in a dictionary of their own.
+    std::vector<std::vector<std::string>> docs(corpus.size());
+    for (std::size_t i = 0, k = 0; i < corpus.size(); ++i) {
+      for (; k < ends[i]; ++k) docs[i].push_back(seen.word(ids[k]));
+    }
     ACTOR_ASSIGN_OR_RETURN(PhraseDetector phrases,
-                           PhraseDetector::Learn(tokenized, options.phrase));
-    for (auto& doc : tokenized) doc = phrases.Apply(std::move(doc));
+                           PhraseDetector::Learn(docs, options.phrase));
+    Vocabulary merged;
+    ids.clear();
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      for (const auto& tok : phrases.Apply(std::move(docs[i]))) {
+        ids.push_back(merged.AddOccurrence(tok));
+      }
+      ends[i] = ids.size();
+    }
+    seen = std::move(merged);
+    first_word = 0;
   }
-  Vocabulary full_vocab;
-  for (const auto& doc : tokenized) {
-    for (const auto& tok : doc) full_vocab.AddOccurrence(tok);
-  }
-  Vocabulary vocab =
-      full_vocab.Prune(options.min_word_count, options.max_vocab_size);
 
-  // Pass 2: map to ids.
+  // Prune: the kept words in their new id order, and old id -> new id.
+  const auto counts = std::span(seen.counts()).subspan(first_word);
+  Vocabulary vocab;
+  std::vector<int32_t> remap(seen.size(), -1);
+  for (int32_t k : Vocabulary::PruneOrder(counts, options.min_word_count,
+                                          options.max_vocab_size)) {
+    remap[first_word + k] =
+        vocab.AddOccurrence(seen.word(first_word + k), counts[k]);
+  }
+
+  // Pass 2: remap ids.
   std::vector<TokenizedRecord> records;
   records.reserve(corpus.size());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
+  for (std::size_t i = 0, k = 0; i < corpus.size(); ++i) {
     const RawRecord& raw = corpus.record(i);
     TokenizedRecord rec;
     rec.id = raw.id;
@@ -65,8 +102,9 @@ Result<TokenizedCorpus> TokenizedCorpus::Build(
     rec.timestamp = raw.timestamp;
     rec.location = raw.location;
     rec.mentioned_user_ids = raw.mentioned_user_ids;
-    for (const auto& tok : tokenized[i]) {
-      const int32_t id = vocab.Lookup(tok);
+    rec.word_ids.reserve(ends[i] - k);
+    for (; k < ends[i]; ++k) {
+      const int32_t id = remap[ids[k]];
       if (id >= 0) rec.word_ids.push_back(id);
     }
     if (options.drop_empty_records && rec.word_ids.empty()) continue;

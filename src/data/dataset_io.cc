@@ -44,6 +44,7 @@ bool ParseDouble(const std::string& s, double* out) {
 Status SaveCorpusTsv(const Corpus& corpus, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
+  out.precision(17);  // enough digits for every double to round-trip
   for (const auto& r : corpus.records()) {
     std::vector<std::string> mention_strs;
     mention_strs.reserve(r.mentioned_user_ids.size());

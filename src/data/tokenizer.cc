@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "util/string_util.h"
-
 namespace actor {
 namespace {
 
@@ -28,16 +26,37 @@ const char* const kStopwords[] = {
     "gonna", "gotta", "lol",  "u",     "ur",    "dont",  "cant",  "aint",
 };
 
-bool IsTokenChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '#' ||
-         c == '@' || c == '\'';
-}
+/// Per-byte classes for the scanner, built once from the <cctype>
+/// predicates so the rules stay those of the C library: a token is a
+/// maximal run of alphanumerics and `_ # @ '`; a numbers-only token holds
+/// nothing but digits and `_`.
+struct CharTable {
+  enum : unsigned char { kToken = 1, kDigitLike = 2 };
+  unsigned char flags[256];
+  char lower[256];
 
-bool AllDigits(std::string_view s) {
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c)) && c != '_') return false;
+  CharTable() {
+    for (int c = 0; c < 256; ++c) {
+      const bool token = std::isalnum(c) || c == '_' || c == '#' ||
+                         c == '@' || c == '\'';
+      const bool digit_like = std::isdigit(c) || c == '_';
+      flags[c] = static_cast<unsigned char>((token ? kToken : 0) |
+                                            (digit_like ? kDigitLike : 0));
+      lower[c] = static_cast<char>(std::tolower(c));
+    }
   }
-  return true;
+  bool token(char c) const {
+    return flags[static_cast<unsigned char>(c)] & kToken;
+  }
+  bool digit_like(char c) const {
+    return flags[static_cast<unsigned char>(c)] & kDigitLike;
+  }
+  char to_lower(char c) const { return lower[static_cast<unsigned char>(c)]; }
+};
+
+const CharTable& Chars() {
+  static const CharTable table;
+  return table;
 }
 
 }  // namespace
@@ -48,38 +67,51 @@ Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
   }
 }
 
-bool Tokenizer::IsStopword(const std::string& word) const {
-  return stopwords_.count(word) > 0;
+bool Tokenizer::IsStopword(std::string_view word) const {
+  return stopwords_.find(word) != stopwords_.end();
+}
+
+bool Tokenizer::NextToken(std::string_view text, std::size_t* pos,
+                          std::string* buf) const {
+  const CharTable& chars = Chars();
+  const std::size_t n = text.size();
+  std::size_t i = *pos;
+  while (i < n) {
+    while (i < n && !chars.token(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < n && chars.token(text[i])) ++i;
+    if (i == start) break;
+    if (text[start] == '@' && !options_.keep_mentions) continue;
+
+    // Strip a leading '#' (hashtags) and apostrophes anywhere, lowercase,
+    // and note whether anything but digits and '_' is left.
+    buf->resize(i - start);
+    char* out = buf->data();
+    std::size_t len = 0;
+    bool digits_only = true;
+    for (std::size_t k = start; k < i; ++k) {
+      char c = text[k];
+      if ((c == '#' && k == start) || c == '\'') continue;
+      if (options_.lowercase) c = chars.to_lower(c);
+      digits_only = digits_only && chars.digit_like(c);
+      out[len++] = c;
+    }
+    buf->resize(len);
+    if (static_cast<int>(len) < options_.min_token_length) continue;
+    if (digits_only) continue;
+    *pos = i;
+    return true;
+  }
+  *pos = n;
+  return false;
 }
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsTokenChar(text[i])) ++i;
-    std::size_t start = i;
-    while (i < text.size() && IsTokenChar(text[i])) ++i;
-    if (i == start) continue;
-    std::string tok(text.substr(start, i - start));
-
-    const bool is_mention = !tok.empty() && tok[0] == '@';
-    if (is_mention && !options_.keep_mentions) continue;
-
-    // Strip leading '#' from hashtags and apostrophes anywhere.
-    std::string cleaned;
-    cleaned.reserve(tok.size());
-    for (std::size_t k = 0; k < tok.size(); ++k) {
-      char c = tok[k];
-      if (c == '#' && k == 0) continue;
-      if (c == '\'') continue;
-      cleaned.push_back(c);
-    }
-    if (options_.lowercase) cleaned = ToLower(cleaned);
-
-    if (static_cast<int>(cleaned.size()) < options_.min_token_length) continue;
-    if (AllDigits(cleaned)) continue;
-    if (options_.remove_stopwords && stopwords_.count(cleaned)) continue;
-    tokens.push_back(std::move(cleaned));
+  std::string buf;
+  std::size_t pos = 0;
+  while (NextToken(text, &pos, &buf)) {
+    if (!IsStopword(buf)) tokens.push_back(buf);
   }
   return tokens;
 }

@@ -2,12 +2,16 @@
 #define ACTOR_DATA_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace actor {
 
@@ -17,11 +21,11 @@ class Vocabulary {
  public:
   Vocabulary() = default;
 
-  /// Adds one occurrence of `word`, interning it if new. Returns its id.
-  int32_t AddOccurrence(const std::string& word);
+  /// Adds `n` occurrences of `word`, interning it if new. Returns its id.
+  int32_t AddOccurrence(std::string_view word, int64_t n = 1);
 
   /// Id of `word`, or -1 if unknown.
-  int32_t Lookup(const std::string& word) const;
+  int32_t Lookup(std::string_view word) const;
 
   /// Word for `id`; CHECK-fails on out-of-range ids.
   const std::string& word(int32_t id) const;
@@ -37,13 +41,24 @@ class Vocabulary {
   /// vocabulary.
   Vocabulary Prune(int64_t min_count, int32_t max_size) const;
 
+  /// The ids Prune keeps from a vocabulary with these per-id counts, in
+  /// their new id order: one stable count-descending sort, cut at the
+  /// first count below min_count or after max_size ids.
+  static std::vector<int32_t> PruneOrder(std::span<const int64_t> counts,
+                                         int64_t min_count,
+                                         int32_t max_size);
+
   /// All words, indexed by id.
   const std::vector<std::string>& words() const { return words_; }
+
+  /// All counts, indexed by id.
+  const std::vector<int64_t>& counts() const { return counts_; }
 
  private:
   std::vector<std::string> words_;
   std::vector<int64_t> counts_;
-  std::unordered_map<std::string, int32_t> index_;
+  std::unordered_map<std::string, int32_t, StringHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace actor

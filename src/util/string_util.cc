@@ -40,12 +40,6 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();

@@ -1,11 +1,23 @@
 #ifndef ACTOR_UTIL_STRING_UTIL_H_
 #define ACTOR_UTIL_STRING_UTIL_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace actor {
+
+/// Transparent string hash: lets a container keyed by std::string be
+/// searched with a std::string_view (paired with std::equal_to<>), so a
+/// lookup builds no temporary string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Splits `s` on `delim`, keeping empty fields. Split("a,,b", ',') ->
 /// {"a", "", "b"}.
@@ -17,9 +29,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s);
 /// Joins `parts` with `delim` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view delim);
-
-/// ASCII lowercase copy.
-std::string ToLower(std::string_view s);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

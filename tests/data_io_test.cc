@@ -79,8 +79,14 @@ TEST_F(DataIoTest, SyntheticRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), ds->corpus.size());
   for (std::size_t i = 0; i < loaded->size(); ++i) {
-    EXPECT_EQ(loaded->record(i).text, ds->corpus.record(i).text);
-    EXPECT_EQ(loaded->record(i).user_id, ds->corpus.record(i).user_id);
+    const RawRecord& got = loaded->record(i);
+    const RawRecord& want = ds->corpus.record(i);
+    EXPECT_EQ(got.text, want.text);
+    EXPECT_EQ(got.user_id, want.user_id);
+    // Exact: the numeric fields must survive the text format bit for bit.
+    EXPECT_EQ(got.timestamp, want.timestamp) << "record " << i;
+    EXPECT_EQ(got.location.x, want.location.x) << "record " << i;
+    EXPECT_EQ(got.location.y, want.location.y) << "record " << i;
   }
 }
 

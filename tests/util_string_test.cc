@@ -54,12 +54,6 @@ TEST(JoinSplitTest, RoundTrip) {
   EXPECT_EQ(Split(Join(original, "|"), '|'), original);
 }
 
-TEST(ToLowerTest, MixedCase) { EXPECT_EQ(ToLower("HeLLo123"), "hello123"); }
-
-TEST(ToLowerTest, PunctuationUnchanged) {
-  EXPECT_EQ(ToLower("ABC-_xyz"), "abc-_xyz");
-}
-
 TEST(TrimTest, BothEnds) { EXPECT_EQ(Trim("  hi \t"), "hi"); }
 
 TEST(TrimTest, NoWhitespace) { EXPECT_EQ(Trim("hi"), "hi"); }
